@@ -23,7 +23,11 @@
  * Memory-layout contract: FlowTable numeric columns and the PortLedger
  * capacity/usage tables are array('d') / array('q') buffers (see
  * repro.simulator.state / repro.simulator.fabric); kernels address them
- * through the buffer protocol as contiguous C arrays.  Object columns
+ * through the buffer protocol as contiguous C arrays.  A row's path is
+ * (src, dst, link_a, link_b), the last two the core links of a multi-tier
+ * topology (-1 = none), indexing the ledger's per-link tables, which a
+ * LinkLedger extends past the host ports; the allocator kernels walk it
+ * with LinkLedger's commit/fill arithmetic on either fabric.  Object columns
  * (finish_time / start_time with their None sentinels) stay Python lists
  * and are read via Py_None identity checks, exactly like the Python
  * rows path.
@@ -120,27 +124,6 @@ set_add_port(PyObject *set, int64_t port)
     return r;
 }
 
-/* PortLedger.commit's unrolled src/dst update (same op order: touch both
- * ports, then check/clamp src, then dst). Caller guarantees rate > 0. */
-static int
-ledger_commit(double *lcap, double *lused, PyObject *touched,
-              int64_t src, int64_t dst, double rate)
-{
-    if (set_add_port(touched, src) < 0 || set_add_port(touched, dst) < 0)
-        return -1;
-    double cap = lcap[src];
-    double new_used = lused[src] + rate;
-    if (new_used > cap * CAP_TOL)
-        return raise_capacity(src, new_used, cap);
-    lused[src] = new_used < cap ? new_used : cap;
-    cap = lcap[dst];
-    new_used = lused[dst] + rate;
-    if (new_used > cap * CAP_TOL)
-        return raise_capacity(dst, new_used, cap);
-    lused[dst] = new_used < cap ? new_used : cap;
-    return 0;
-}
-
 static Py_ssize_t
 as_row(PyObject *o, Py_ssize_t cap, const char *what)
 {
@@ -154,6 +137,88 @@ as_row(PyObject *o, Py_ssize_t cap, const char *what)
         return -1;
     }
     return i;
+}
+
+/* Links on one flow's path: sender port, receiver port and up to two core
+ * links (FlowTable.link_a / link_b, -1 = none). */
+#define MAX_PATH 4
+
+/* The four path columns of a FlowTable, acquired as one unit. */
+typedef struct {
+    int64_t *src, *dst, *la, *lb;
+    Py_ssize_t n; /* rows in every column */
+} pathcols;
+
+static int
+pathcols_get(bufs *B, pathcols *P, PyObject *src_o, PyObject *dst_o,
+             PyObject *la_o, PyObject *lb_o)
+{
+    Py_ssize_t n2, n3, n4;
+    P->src = bufs_get(B, src_o, 'q', &P->n, "table.src");
+    P->dst = P->src ? bufs_get(B, dst_o, 'q', &n2, "table.dst") : NULL;
+    P->la = P->dst ? bufs_get(B, la_o, 'q', &n3, "table.link_a") : NULL;
+    P->lb = P->la ? bufs_get(B, lb_o, 'q', &n4, "table.link_b") : NULL;
+    if (P->lb == NULL)
+        return -1;
+    if (n2 != P->n || n3 != P->n || n4 != P->n) {
+        PyErr_SetString(PyExc_ValueError,
+                        "fastcore: table path columns differ in length");
+        return -1;
+    }
+    return 0;
+}
+
+/* Row i's path in walk order (src, dst, then core links) into path[];
+ * unused slots are -1.  Returns the number of links (2..4), or -1 with
+ * IndexError set when a link lies outside [0, nlinks).  Big-switch rows
+ * (no core links) take the first branch, whose cost is one extra column
+ * read over the port-only loops. */
+static inline int
+row_path(const pathcols *P, Py_ssize_t i, Py_ssize_t nlinks,
+         int64_t path[MAX_PATH])
+{
+    int np = 2;
+    path[0] = P->src[i];
+    path[1] = P->dst[i];
+    path[2] = P->la[i];
+    path[3] = -1;
+    if (path[2] >= 0) {
+        np = 3;
+        path[3] = P->lb[i];
+        if (path[3] >= 0)
+            np = 4;
+    }
+    for (int s = 0; s < np; s++) {
+        /* one unsigned compare covers both bounds (links are never
+         * negative here: src/dst are ids, -1 ends the core links) */
+        if ((uint64_t)path[s] >= (uint64_t)nlinks) {
+            PyErr_Format(PyExc_IndexError,
+                         "fastcore: link %lld out of range [0, %zd)",
+                         (long long)path[s], nlinks);
+            return -1;
+        }
+    }
+    return np;
+}
+
+/* LinkLedger.commit over one path (same op order: per link touch, check,
+ * clamp; -1 ends the path).  Caller guarantees rate > 0 and in-range
+ * links. */
+static int
+commit_path(double *lcap, double *lused, PyObject *touched,
+            const int64_t path[MAX_PATH], double rate)
+{
+    for (int s = 0; s < MAX_PATH && path[s] >= 0; s++) {
+        int64_t link = path[s];
+        if (set_add_port(touched, link) < 0)
+            return -1;
+        double cap = lcap[link];
+        double new_used = lused[link] + rate;
+        if (new_used > cap * CAP_TOL)
+            return raise_capacity(link, new_used, cap);
+        lused[link] = new_used < cap ? new_used : cap;
+    }
+    return 0;
 }
 
 /* Materialise the running set (row-keyed dict under epochs, row list on
@@ -354,8 +419,8 @@ heap_push_entry(PyObject *heap, double bound, int64_t epoch, PyObject *row_obj)
  * Rate-allocator kernels (repro.simulator.ratealloc *_rows twins)
  * ====================================================================== */
 
-/* mmf_fill(active, src, dst, lcap, lused, touched, rate_cap, commit)
- *   -> list[float]
+/* mmf_fill(active, src, dst, link_a, link_b, lcap, lused, touched,
+ *          rate_cap, commit) -> list[float]
  *
  * The fill/commit core of max_min_fair_rows_raw.  `active` is the
  * already-filtered list of unfinished rows; rate_cap is None or a float
@@ -363,12 +428,12 @@ heap_push_entry(PyObject *heap, double bound, int64_t epoch, PyObject *row_obj)
 static PyObject *
 mmf_fill(PyObject *self, PyObject *args)
 {
-    PyObject *active, *src_o, *dst_o, *lcap_o, *lused_o, *touched;
-    PyObject *rate_cap_o;
+    PyObject *active, *src_o, *dst_o, *la_o, *lb_o, *lcap_o, *lused_o;
+    PyObject *touched, *rate_cap_o;
     int do_commit;
-    if (!PyArg_ParseTuple(args, "OOOOOOOp", &active, &src_o, &dst_o,
-                          &lcap_o, &lused_o, &touched, &rate_cap_o,
-                          &do_commit))
+    if (!PyArg_ParseTuple(args, "OOOOOOOOOp", &active, &src_o, &dst_o,
+                          &la_o, &lb_o, &lcap_o, &lused_o, &touched,
+                          &rate_cap_o, &do_commit))
         return NULL;
     if (!PyList_Check(active)) {
         PyErr_SetString(PyExc_TypeError, "fastcore: active must be a list");
@@ -383,80 +448,78 @@ mmf_fill(PyObject *self, PyObject *args)
     }
 
     bufs B = {.n = 0};
+    pathcols P;
     PyObject *result = NULL;
     int64_t *rows = NULL;
-    Py_ssize_t *port_pos = NULL, *src_i = NULL, *dst_i = NULL;
+    Py_ssize_t *link_pos = NULL, *pidx = NULL;
     Py_ssize_t *live = NULL, *moff = NULL, *mem = NULL;
     double *residual = NULL, *shares = NULL, *rate_of = NULL;
-    char *frozen = NULL;
+    char *frozen = NULL, *plen = NULL;
 
-    Py_ssize_t ncols, nports;
-    int64_t *src = bufs_get(&B, src_o, 'q', &ncols, "table.src");
-    int64_t *dst = src ? bufs_get(&B, dst_o, 'q', NULL, "table.dst") : NULL;
-    double *lcap = dst ? bufs_get(&B, lcap_o, 'd', &nports, "capacity_list")
-                       : NULL;
-    double *lused = lcap ? bufs_get(&B, lused_o, 'd', NULL, "used_list")
-                         : NULL;
+    Py_ssize_t nlinks;
+    double *lcap = NULL, *lused = NULL;
+    if (pathcols_get(&B, &P, src_o, dst_o, la_o, lb_o) == 0) {
+        lcap = bufs_get(&B, lcap_o, 'd', &nlinks, "capacity_list");
+        lused = lcap ? bufs_get(&B, lused_o, 'd', NULL, "used_list") : NULL;
+    }
     if (lused == NULL)
         goto done;
 
     Py_ssize_t n = PyList_GET_SIZE(active);
-    rows = PyMem_New(int64_t, n > 0 ? n : 1);
-    port_pos = PyMem_New(Py_ssize_t, nports > 0 ? nports : 1);
-    src_i = PyMem_New(Py_ssize_t, n > 0 ? n : 1);
-    dst_i = PyMem_New(Py_ssize_t, n > 0 ? n : 1);
-    live = PyMem_New(Py_ssize_t, 2 * n > 0 ? 2 * n : 1);
-    moff = PyMem_New(Py_ssize_t, 2 * n + 1);
-    mem = PyMem_New(Py_ssize_t, 2 * n > 0 ? 2 * n : 1);
-    residual = PyMem_New(double, 2 * n > 0 ? 2 * n : 1);
-    shares = PyMem_New(double, 2 * n > 0 ? 2 * n : 1);
-    rate_of = PyMem_New(double, n > 0 ? n : 1);
-    frozen = PyMem_New(char, n > 0 ? n : 1);
-    if (!rows || !port_pos || !src_i || !dst_i || !live || !moff || !mem
+    Py_ssize_t n1 = n > 0 ? n : 1;
+    rows = PyMem_New(int64_t, n1);
+    link_pos = PyMem_New(Py_ssize_t, nlinks > 0 ? nlinks : 1);
+    pidx = PyMem_New(Py_ssize_t, MAX_PATH * n1);
+    plen = PyMem_New(char, n1);
+    live = PyMem_New(Py_ssize_t, MAX_PATH * n1);
+    moff = PyMem_New(Py_ssize_t, MAX_PATH * n1 + 1);
+    mem = PyMem_New(Py_ssize_t, MAX_PATH * n1);
+    residual = PyMem_New(double, MAX_PATH * n1);
+    shares = PyMem_New(double, MAX_PATH * n1);
+    rate_of = PyMem_New(double, n1);
+    frozen = PyMem_New(char, n1);
+    if (!rows || !link_pos || !pidx || !plen || !live || !moff || !mem
         || !residual || !shares || !rate_of || !frozen) {
         PyErr_NoMemory();
         goto done;
     }
-    for (Py_ssize_t j = 0; j < nports; j++)
-        port_pos[j] = -1;
-    memset(frozen, 0, (size_t)(n > 0 ? n : 1));
+    for (Py_ssize_t j = 0; j < nlinks; j++)
+        link_pos[j] = -1;
+    memset(frozen, 0, (size_t)n1);
 
-    /* Pass 1: dense port indices in first-seen order (src before dst per
-     * flow), per-port flow counts, residual snapshot. */
+    /* Pass 1: dense link indices in first-seen order (per flow: src, dst,
+     * core links), per-link flow counts, residual snapshot. */
     Py_ssize_t ndense = 0;
     for (Py_ssize_t k = 0; k < n; k++) {
-        Py_ssize_t i = as_row(PyList_GET_ITEM(active, k), ncols, "active");
+        Py_ssize_t i = as_row(PyList_GET_ITEM(active, k), P.n, "active");
         if (i < 0)
             goto done;
         rows[k] = (int64_t)i;
-        for (int half = 0; half < 2; half++) {
-            int64_t port = half == 0 ? src[i] : dst[i];
-            if (port < 0 || port >= nports) {
-                PyErr_Format(PyExc_IndexError,
-                             "fastcore: port %lld out of range",
-                             (long long)port);
-                goto done;
-            }
-            Py_ssize_t j = port_pos[port];
+        int64_t path[MAX_PATH];
+        int np = row_path(&P, i, nlinks, path);
+        if (np < 0)
+            goto done;
+        plen[k] = (char)np;
+        for (int s = 0; s < np; s++) {
+            int64_t link = path[s];
+            Py_ssize_t j = link_pos[link];
             if (j < 0) {
-                j = port_pos[port] = ndense++;
-                double r = lcap[port] - lused[port];
+                j = link_pos[link] = ndense++;
+                double r = lcap[link] - lused[link];
                 residual[j] = r >= 0.0 ? r : 0.0;
                 live[j] = 1;
             }
             else {
                 live[j] += 1;
             }
-            if (half == 0)
-                src_i[k] = j;
-            else
-                dst_i[k] = j;
+            pidx[MAX_PATH * k + s] = j;
         }
         rate_of[k] = 0.0;
     }
 
-    /* Pass 2: member lists (CSR).  Per-port append order matches the
-     * Python build: ascending flow position, src before dst per flow. */
+    /* Pass 2: member lists (CSR).  Per-link append order matches the
+     * Python build: ascending flow position (a path never repeats a
+     * link). */
     moff[0] = 0;
     for (Py_ssize_t j = 0; j < ndense; j++)
         moff[j + 1] = moff[j] + live[j];
@@ -468,10 +531,9 @@ mmf_fill(PyObject *self, PyObject *args)
         }
         for (Py_ssize_t j = 0; j < ndense; j++)
             cursor[j] = moff[j];
-        for (Py_ssize_t k = 0; k < n; k++) {
-            mem[cursor[src_i[k]]++] = k;
-            mem[cursor[dst_i[k]]++] = k;
-        }
+        for (Py_ssize_t k = 0; k < n; k++)
+            for (int s = 0; s < plen[k]; s++)
+                mem[cursor[pidx[MAX_PATH * k + s]]++] = k;
         PyMem_Free(cursor);
     }
 
@@ -506,18 +568,14 @@ mmf_fill(PyObject *self, PyObject *args)
                 continue;
             frozen[k] = 1;
             rate_of[k] = best_share;
-            Py_ssize_t j = src_i[k];
-            double nr = residual[j] - best_share;
-            nr = nr >= 0.0 ? nr : 0.0;
-            residual[j] = nr;
-            Py_ssize_t lv = --live[j];
-            shares[j] = lv ? nr / (double)lv : INFINITY;
-            j = dst_i[k];
-            nr = residual[j] - best_share;
-            nr = nr >= 0.0 ? nr : 0.0;
-            residual[j] = nr;
-            lv = --live[j];
-            shares[j] = lv ? nr / (double)lv : INFINITY;
+            for (int s = 0; s < plen[k]; s++) {
+                Py_ssize_t j = pidx[MAX_PATH * k + s];
+                double nr = residual[j] - best_share;
+                nr = nr >= 0.0 ? nr : 0.0;
+                residual[j] = nr;
+                Py_ssize_t lv = --live[j];
+                shares[j] = lv ? nr / (double)lv : INFINITY;
+            }
             remaining--;
         }
     }
@@ -526,8 +584,9 @@ mmf_fill(PyObject *self, PyObject *args)
         for (Py_ssize_t k = 0; k < n; k++) {
             double rate = rate_of[k];
             if (rate > 0.0) {
-                if (ledger_commit(lcap, lused, touched,
-                                  src[rows[k]], dst[rows[k]], rate) < 0)
+                int64_t path[MAX_PATH];
+                row_path(&P, rows[k], nlinks, path);
+                if (commit_path(lcap, lused, touched, path, rate) < 0)
                     goto done;
             }
         }
@@ -547,9 +606,9 @@ mmf_fill(PyObject *self, PyObject *args)
 
 done:
     PyMem_Free(rows);
-    PyMem_Free(port_pos);
-    PyMem_Free(src_i);
-    PyMem_Free(dst_i);
+    PyMem_Free(link_pos);
+    PyMem_Free(pidx);
+    PyMem_Free(plen);
     PyMem_Free(live);
     PyMem_Free(moff);
     PyMem_Free(mem);
@@ -561,16 +620,16 @@ done:
     return result;
 }
 
-/* madd_rows(rows, ft, vol, bs, src, dst, fid, lcap, lused, touched)
- *   -> dict[int, float]    (madd_rates_rows twin) */
+/* madd_rows(rows, ft, vol, bs, src, dst, link_a, link_b, fid, lcap, lused,
+ *           touched) -> dict[int, float]    (madd_rates_rows twin) */
 static PyObject *
 madd_rows(PyObject *self, PyObject *args)
 {
-    PyObject *rows_o, *ft, *vol_o, *bs_o, *src_o, *dst_o, *fid_o;
-    PyObject *lcap_o, *lused_o, *touched;
-    if (!PyArg_ParseTuple(args, "OOOOOOOOOO", &rows_o, &ft, &vol_o, &bs_o,
-                          &src_o, &dst_o, &fid_o, &lcap_o, &lused_o,
-                          &touched))
+    PyObject *rows_o, *ft, *vol_o, *bs_o, *src_o, *dst_o, *la_o, *lb_o;
+    PyObject *fid_o, *lcap_o, *lused_o, *touched;
+    if (!PyArg_ParseTuple(args, "OOOOOOOOOOOO", &rows_o, &ft, &vol_o,
+                          &bs_o, &src_o, &dst_o, &la_o, &lb_o, &fid_o,
+                          &lcap_o, &lused_o, &touched))
         return NULL;
     if (!PyList_CheckExact(ft)) {
         PyErr_SetString(PyExc_TypeError,
@@ -579,26 +638,27 @@ madd_rows(PyObject *self, PyObject *args)
     }
 
     bufs B = {.n = 0};
+    pathcols P;
     PyObject *fast = NULL, *rates = NULL;
     Py_ssize_t *todo = NULL;
-    double *left = NULL, *pbytes = NULL;
+    double *left = NULL, *lbytes = NULL;
     int64_t *order = NULL;
     char *seen = NULL;
 
-    Py_ssize_t ncols, nports;
-    double *vol = bufs_get(&B, vol_o, 'd', &ncols, "table.volume");
-    double *bs = vol ? bufs_get(&B, bs_o, 'd', NULL, "table.bytes_sent")
-                     : NULL;
-    int64_t *src = bs ? bufs_get(&B, src_o, 'q', NULL, "table.src") : NULL;
-    int64_t *dst = src ? bufs_get(&B, dst_o, 'q', NULL, "table.dst") : NULL;
-    int64_t *fid = dst ? bufs_get(&B, fid_o, 'q', NULL, "table.flow_id")
-                       : NULL;
-    double *lcap = fid ? bufs_get(&B, lcap_o, 'd', &nports, "capacity_list")
-                       : NULL;
-    double *lused = lcap ? bufs_get(&B, lused_o, 'd', NULL, "used_list")
-                         : NULL;
+    Py_ssize_t nlinks;
+    double *vol = NULL, *bs = NULL, *lcap = NULL, *lused = NULL;
+    int64_t *fid = NULL;
+    if (pathcols_get(&B, &P, src_o, dst_o, la_o, lb_o) == 0) {
+        vol = bufs_get(&B, vol_o, 'd', NULL, "table.volume");
+        bs = vol ? bufs_get(&B, bs_o, 'd', NULL, "table.bytes_sent") : NULL;
+        fid = bs ? bufs_get(&B, fid_o, 'q', NULL, "table.flow_id") : NULL;
+        lcap = fid ? bufs_get(&B, lcap_o, 'd', &nlinks, "capacity_list")
+                   : NULL;
+        lused = lcap ? bufs_get(&B, lused_o, 'd', NULL, "used_list") : NULL;
+    }
     if (lused == NULL)
         goto fail;
+    Py_ssize_t ncols = P.n;
 
     fast = PySequence_Fast(rows_o, "fastcore: rows must be a sequence");
     if (fast == NULL)
@@ -608,16 +668,16 @@ madd_rows(PyObject *self, PyObject *args)
 
     todo = PyMem_New(Py_ssize_t, n > 0 ? n : 1);
     left = PyMem_New(double, n > 0 ? n : 1);
-    pbytes = PyMem_New(double, nports > 0 ? nports : 1);
-    order = PyMem_New(int64_t, 2 * n > 0 ? 2 * n : 1);
-    seen = PyMem_New(char, nports > 0 ? nports : 1);
-    if (!todo || !left || !pbytes || !order || !seen) {
+    lbytes = PyMem_New(double, nlinks > 0 ? nlinks : 1);
+    order = PyMem_New(int64_t, n > 0 ? MAX_PATH * n : 1);
+    seen = PyMem_New(char, nlinks > 0 ? nlinks : 1);
+    if (!todo || !left || !lbytes || !order || !seen) {
         PyErr_NoMemory();
         goto fail;
     }
-    memset(seen, 0, (size_t)(nports > 0 ? nports : 1));
+    memset(seen, 0, (size_t)(nlinks > 0 ? nlinks : 1));
 
-    /* Fused liveness filter + per-port byte aggregation, in row order. */
+    /* Fused liveness filter + per-link byte aggregation, in row order. */
     Py_ssize_t nt = 0, no = 0;
     if (PyList_GET_SIZE(ft) < ncols) {
         PyErr_SetString(PyExc_ValueError,
@@ -636,22 +696,19 @@ madd_rows(PyObject *self, PyObject *args)
         todo[nt] = i;
         left[nt] = remaining;
         nt++;
-        int64_t ports[2] = {src[i], dst[i]};
-        for (int half = 0; half < 2; half++) {
-            int64_t p = ports[half];
-            if (p < 0 || p >= nports) {
-                PyErr_Format(PyExc_IndexError,
-                             "fastcore: port %lld out of range",
-                             (long long)p);
-                goto fail;
-            }
-            if (!seen[p]) {
-                seen[p] = 1;
-                order[no++] = p;
-                pbytes[p] = remaining;
+        int64_t path[MAX_PATH];
+        int np = row_path(&P, i, nlinks, path);
+        if (np < 0)
+            goto fail;
+        for (int s = 0; s < np; s++) {
+            int64_t link = path[s];
+            if (!seen[link]) {
+                seen[link] = 1;
+                order[no++] = link;
+                lbytes[link] = remaining;
             }
             else {
-                pbytes[p] += remaining;
+                lbytes[link] += remaining;
             }
         }
     }
@@ -662,13 +719,13 @@ madd_rows(PyObject *self, PyObject *args)
 
     double gamma = 0.0;
     for (Py_ssize_t o = 0; o < no; o++) {
-        int64_t p = order[o];
-        double residual = lcap[p] - lused[p];
+        int64_t link = order[o];
+        double residual = lcap[link] - lused[link];
         if (residual <= 0.0) {
             rates = PyDict_New();
             goto done;
         }
-        double share = pbytes[p] / residual;
+        double share = lbytes[link] / residual;
         if (share > gamma)
             gamma = share;
     }
@@ -677,8 +734,8 @@ madd_rows(PyObject *self, PyObject *args)
         goto done;
     }
 
-    /* Rate build + inlined commit, in todo order (the Python fused loop:
-     * dict store, touch src/dst, then check/clamp src, then dst). */
+    /* Rate build + inlined path commit, in todo order (the Python fused
+     * loop: dict store, then the path commit). */
     rates = PyDict_New();
     if (rates == NULL)
         goto fail;
@@ -692,7 +749,9 @@ madd_rows(PyObject *self, PyObject *args)
         Py_XDECREF(val);
         if (r < 0)
             goto fail;
-        if (ledger_commit(lcap, lused, touched, src[i], dst[i], rate) < 0)
+        int64_t path[MAX_PATH];
+        row_path(&P, i, nlinks, path);
+        if (commit_path(lcap, lused, touched, path, rate) < 0)
             goto fail;
     }
     goto done;
@@ -702,7 +761,7 @@ fail:
 done:
     PyMem_Free(todo);
     PyMem_Free(left);
-    PyMem_Free(pbytes);
+    PyMem_Free(lbytes);
     PyMem_Free(order);
     PyMem_Free(seen);
     Py_XDECREF(fast);
@@ -710,16 +769,17 @@ done:
     return rates;
 }
 
-/* equal_rate_rows(rows, ft, src, dst, fid, lcap, lused, touched,
- *                 port_counts) -> dict[int, float]
+/* equal_rate_rows(rows, ft, src, dst, link_a, link_b, fid, lcap, lused,
+ *                 touched, port_counts) -> dict[int, float]
  *   (equal_rate_for_coflow_rows twin; port_counts is a dict or None) */
 static PyObject *
 equal_rate_rows(PyObject *self, PyObject *args)
 {
-    PyObject *rows_o, *ft, *src_o, *dst_o, *fid_o;
+    PyObject *rows_o, *ft, *src_o, *dst_o, *la_o, *lb_o, *fid_o;
     PyObject *lcap_o, *lused_o, *touched, *port_counts;
-    if (!PyArg_ParseTuple(args, "OOOOOOOOO", &rows_o, &ft, &src_o, &dst_o,
-                          &fid_o, &lcap_o, &lused_o, &touched, &port_counts))
+    if (!PyArg_ParseTuple(args, "OOOOOOOOOOO", &rows_o, &ft, &src_o,
+                          &dst_o, &la_o, &lb_o, &fid_o, &lcap_o, &lused_o,
+                          &touched, &port_counts))
         return NULL;
     if (!PyList_CheckExact(ft)) {
         PyErr_SetString(PyExc_TypeError,
@@ -733,21 +793,23 @@ equal_rate_rows(PyObject *self, PyObject *args)
     }
 
     bufs B = {.n = 0};
+    pathcols P;
     PyObject *fast = NULL, *rates = NULL;
     Py_ssize_t *todo = NULL;
-    int64_t *counts = NULL;
+    int64_t *counts = NULL, *order = NULL;
 
-    Py_ssize_t ncols, nports;
-    int64_t *src = bufs_get(&B, src_o, 'q', &ncols, "table.src");
-    int64_t *dst = src ? bufs_get(&B, dst_o, 'q', NULL, "table.dst") : NULL;
-    int64_t *fid = dst ? bufs_get(&B, fid_o, 'q', NULL, "table.flow_id")
-                       : NULL;
-    double *lcap = fid ? bufs_get(&B, lcap_o, 'd', &nports, "capacity_list")
-                       : NULL;
-    double *lused = lcap ? bufs_get(&B, lused_o, 'd', NULL, "used_list")
-                         : NULL;
+    Py_ssize_t nlinks;
+    int64_t *fid = NULL;
+    double *lcap = NULL, *lused = NULL;
+    if (pathcols_get(&B, &P, src_o, dst_o, la_o, lb_o) == 0) {
+        fid = bufs_get(&B, fid_o, 'q', NULL, "table.flow_id");
+        lcap = fid ? bufs_get(&B, lcap_o, 'd', &nlinks, "capacity_list")
+                   : NULL;
+        lused = lcap ? bufs_get(&B, lused_o, 'd', NULL, "used_list") : NULL;
+    }
     if (lused == NULL)
         goto fail;
+    Py_ssize_t ncols = P.n;
     if (PyList_GET_SIZE(ft) < ncols) {
         PyErr_SetString(PyExc_ValueError,
                         "fastcore: finish_time shorter than table columns");
@@ -778,61 +840,56 @@ equal_rate_rows(PyObject *self, PyObject *args)
         goto done;
     }
 
+    /* rate = min over the coflow's links of residual / count; the min over
+     * the same set of caps is the same float in any visiting order. */
     double rate = INFINITY;
     if (port_counts != Py_None) {
         Py_ssize_t pos = 0;
         PyObject *k, *v;
         while (PyDict_Next(port_counts, &pos, &k, &v)) {
-            long long port = PyLong_AsLongLong(k);
-            if (port == -1 && PyErr_Occurred())
+            long long link = PyLong_AsLongLong(k);
+            if (link == -1 && PyErr_Occurred())
                 goto fail;
             long long count = PyLong_AsLongLong(v);
             if (count == -1 && PyErr_Occurred())
                 goto fail;
-            if (port < 0 || port >= nports) {
+            if (link < 0 || link >= nlinks) {
                 PyErr_Format(PyExc_IndexError,
-                             "fastcore: port %lld out of range", port);
+                             "fastcore: link %lld out of range", link);
                 goto fail;
             }
-            double r = lcap[port] - lused[port];
+            double r = lcap[link] - lused[link];
             double cap = (r >= 0.0 ? r : 0.0) / (double)count;
             if (cap < rate)
                 rate = cap;
         }
     }
     else {
-        counts = PyMem_New(int64_t, nports > 0 ? nports : 1);
-        if (counts == NULL) {
+        counts = PyMem_New(int64_t, nlinks > 0 ? nlinks : 1);
+        order = PyMem_New(int64_t, MAX_PATH * nt);
+        if (counts == NULL || order == NULL) {
             PyErr_NoMemory();
             goto fail;
         }
-        memset(counts, 0, (size_t)(nports > 0 ? nports : 1)
+        memset(counts, 0, (size_t)(nlinks > 0 ? nlinks : 1)
                               * sizeof(int64_t));
+        Py_ssize_t no = 0;
         for (Py_ssize_t t = 0; t < nt; t++) {
-            Py_ssize_t i = todo[t];
-            int64_t s = src[i], d = dst[i];
-            if (s < 0 || s >= nports || d < 0 || d >= nports) {
-                PyErr_SetString(PyExc_IndexError,
-                                "fastcore: port out of range");
+            int64_t path[MAX_PATH];
+            int np = row_path(&P, todo[t], nlinks, path);
+            if (np < 0)
                 goto fail;
-            }
-            counts[s]++;
-            counts[d]++;
+            for (int s = 0; s < np; s++)
+                if (counts[path[s]]++ == 0)
+                    order[no++] = path[s];
         }
-        for (Py_ssize_t t = 0; t < nt; t++) {
-            Py_ssize_t i = todo[t];
-            int64_t s = src[i], d = dst[i];
+        for (Py_ssize_t o = 0; o < no; o++) {
+            int64_t link = order[o];
             /* ledger.residual() == max(cap - used, 0.0) */
-            double rs = lcap[s] - lused[s];
-            rs = rs >= 0.0 ? rs : 0.0;
-            double rd = lcap[d] - lused[d];
-            rd = rd >= 0.0 ? rd : 0.0;
-            double cap_src = rs / (double)counts[s];
-            double cap_dst = rd / (double)counts[d];
-            if (cap_src < rate)
-                rate = cap_src;
-            if (cap_dst < rate)
-                rate = cap_dst;
+            double r = lcap[link] - lused[link];
+            double cap = (r >= 0.0 ? r : 0.0) / (double)counts[link];
+            if (cap < rate)
+                rate = cap;
         }
     }
     if (!isfinite(rate) || rate <= 0.0) {
@@ -851,11 +908,9 @@ equal_rate_rows(PyObject *self, PyObject *args)
         PyObject *key = PyLong_FromLongLong((long long)fid[i]);
         int r = key ? PyDict_SetItem(rates, key, rate_obj) : -1;
         Py_XDECREF(key);
-        if (r < 0) {
-            Py_DECREF(rate_obj);
-            goto fail;
-        }
-        if (ledger_commit(lcap, lused, touched, src[i], dst[i], rate) < 0) {
+        int64_t path[MAX_PATH];
+        if (r < 0 || row_path(&P, i, nlinks, path) < 0
+            || commit_path(lcap, lused, touched, path, rate) < 0) {
             Py_DECREF(rate_obj);
             goto fail;
         }
@@ -868,20 +923,23 @@ fail:
 done:
     PyMem_Free(todo);
     PyMem_Free(counts);
+    PyMem_Free(order);
     Py_XDECREF(fast);
     bufs_release(&B);
     return rates;
 }
 
-/* greedy_rows(rows, ft, fid, src, dst, lcap, lused, touched)
- *   -> dict[int, float]    (greedy_residual_rates_rows twin) */
+/* greedy_rows(rows, ft, fid, src, dst, link_a, link_b, lcap, lused,
+ *             touched) -> dict[int, float]
+ *   (greedy_residual_rates_rows twin) */
 static PyObject *
 greedy_rows(PyObject *self, PyObject *args)
 {
-    PyObject *rows_o, *ft, *fid_o, *src_o, *dst_o;
+    PyObject *rows_o, *ft, *fid_o, *src_o, *dst_o, *la_o, *lb_o;
     PyObject *lcap_o, *lused_o, *touched;
-    if (!PyArg_ParseTuple(args, "OOOOOOOO", &rows_o, &ft, &fid_o, &src_o,
-                          &dst_o, &lcap_o, &lused_o, &touched))
+    if (!PyArg_ParseTuple(args, "OOOOOOOOOO", &rows_o, &ft, &fid_o, &src_o,
+                          &dst_o, &la_o, &lb_o, &lcap_o, &lused_o,
+                          &touched))
         return NULL;
     if (!PyList_CheckExact(ft)) {
         PyErr_SetString(PyExc_TypeError,
@@ -890,19 +948,22 @@ greedy_rows(PyObject *self, PyObject *args)
     }
 
     bufs B = {.n = 0};
+    pathcols P;
     PyObject *fast = NULL, *rates = NULL;
     char *dead = NULL;
 
-    Py_ssize_t ncols, nports;
-    int64_t *fid = bufs_get(&B, fid_o, 'q', &ncols, "table.flow_id");
-    int64_t *src = fid ? bufs_get(&B, src_o, 'q', NULL, "table.src") : NULL;
-    int64_t *dst = src ? bufs_get(&B, dst_o, 'q', NULL, "table.dst") : NULL;
-    double *lcap = dst ? bufs_get(&B, lcap_o, 'd', &nports, "capacity_list")
-                       : NULL;
-    double *lused = lcap ? bufs_get(&B, lused_o, 'd', NULL, "used_list")
-                         : NULL;
+    Py_ssize_t nlinks;
+    int64_t *fid = NULL;
+    double *lcap = NULL, *lused = NULL;
+    if (pathcols_get(&B, &P, src_o, dst_o, la_o, lb_o) == 0) {
+        fid = bufs_get(&B, fid_o, 'q', NULL, "table.flow_id");
+        lcap = fid ? bufs_get(&B, lcap_o, 'd', &nlinks, "capacity_list")
+                   : NULL;
+        lused = lcap ? bufs_get(&B, lused_o, 'd', NULL, "used_list") : NULL;
+    }
     if (lused == NULL)
         goto fail;
+    Py_ssize_t ncols = P.n;
     if (PyList_GET_SIZE(ft) < ncols) {
         PyErr_SetString(PyExc_ValueError,
                         "fastcore: finish_time shorter than table columns");
@@ -915,12 +976,12 @@ greedy_rows(PyObject *self, PyObject *args)
     Py_ssize_t n = PySequence_Fast_GET_SIZE(fast);
     PyObject **items = PySequence_Fast_ITEMS(fast);
 
-    dead = PyMem_New(char, nports > 0 ? nports : 1);
+    dead = PyMem_New(char, nlinks > 0 ? nlinks : 1);
     if (dead == NULL) {
         PyErr_NoMemory();
         goto fail;
     }
-    memset(dead, 0, (size_t)(nports > 0 ? nports : 1));
+    memset(dead, 0, (size_t)(nlinks > 0 ? nlinks : 1));
 
     rates = PyDict_New();
     if (rates == NULL)
@@ -931,22 +992,28 @@ greedy_rows(PyObject *self, PyObject *args)
             goto fail;
         if (PyList_GET_ITEM(ft, i) != Py_None)
             continue;
-        int64_t s = src[i], d = dst[i];
-        if (s < 0 || s >= nports || d < 0 || d >= nports) {
-            PyErr_SetString(PyExc_IndexError, "fastcore: port out of range");
+        int64_t path[MAX_PATH];
+        int np = row_path(&P, i, nlinks, path);
+        if (np < 0)
             goto fail;
+        double rate = INFINITY;
+        int s;
+        for (s = 0; s < np; s++) {
+            int64_t link = path[s];
+            if (dead[link])
+                break;
+            double other = lcap[link] - lused[link];
+            if (other < rate)
+                rate = other;
         }
-        if (dead[s] || dead[d])
-            continue;
-        double rate = lcap[s] - lused[s];
-        double rate_dst = lcap[d] - lused[d];
-        if (rate_dst < rate)
-            rate = rate_dst;
+        if (s < np)
+            continue; /* crosses an exhausted link: a zero-rate no-op */
         if (rate > 0.0) {
-            lused[s] += rate;
-            lused[d] += rate;
-            if (set_add_port(touched, s) < 0 || set_add_port(touched, d) < 0)
-                goto fail;
+            for (s = 0; s < np; s++) {
+                lused[path[s]] += rate;
+                if (set_add_port(touched, path[s]) < 0)
+                    goto fail;
+            }
             PyObject *key = PyLong_FromLongLong((long long)fid[i]);
             PyObject *val = key ? PyFloat_FromDouble(rate) : NULL;
             int r = val ? PyDict_SetItem(rates, key, val) : -1;
@@ -956,10 +1023,9 @@ greedy_rows(PyObject *self, PyObject *args)
                 goto fail;
         }
         else {
-            if (lcap[s] - lused[s] <= 0.0)
-                dead[s] = 1;
-            if (lcap[d] - lused[d] <= 0.0)
-                dead[d] = 1;
+            for (s = 0; s < np; s++)
+                if (lcap[path[s]] - lused[path[s]] <= 0.0)
+                    dead[path[s]] = 1;
         }
     }
     goto done;
@@ -1862,7 +1928,7 @@ rate_accum(PyObject *rates, int64_t flow_id, double rate)
     return r;
 }
 
-/* aalo_ports(coflow_runs, weights, src, dst, fid, cid,
+/* aalo_ports(coflow_runs, weights, src, dst, link_a, link_b, fid, cid,
  *            lcap, lused, touched, rates, scheduled)
  *
  * Compiled twin of AaloScheduler._schedule_rows' bucket-and-serve core:
@@ -1871,22 +1937,25 @@ rate_accum(PyObject *rates, int64_t flow_id, double rate)
  * (CSR over the sender ports, preserving global order, which is exactly
  * the defaultdict-append order of the Python path), then serve every
  * non-empty port in ascending order with the weighted-share pass and the
- * work-conservation spill pass of _allocate_port_rows.  Grant arithmetic,
- * clamps, the cross-port dead-receiver memo, grant order (hence rates
- * dict insertion order) and the early sender-exhausted bailout are all
- * replicated exactly; see _allocate_port_rows for the rationale of the
- * deferred lused[port] write-back. */
+ * work-conservation spill pass of _allocate_port_rows (the spill is the
+ * share pass with an infinite budget per run).  Grant arithmetic over the
+ * whole path (receiver, then core links), clamps, the cross-port
+ * dead-receiver memo, grant order (hence rates dict insertion order) and
+ * the early sender-exhausted bailout are all replicated exactly; see
+ * _allocate_port_rows for the rationale of the deferred lused[port]
+ * write-back. */
 static PyObject *
 aalo_ports(PyObject *self, PyObject *args)
 {
-    PyObject *runs_in, *weights, *src_o, *dst_o, *fid_o, *cid_o,
-             *lcap_o, *lused_o, *touched, *rates, *scheduled;
-    if (!PyArg_ParseTuple(args, "OOOOOOOOOOO", &runs_in, &weights,
-                          &src_o, &dst_o, &fid_o, &cid_o,
+    PyObject *runs_in, *weights, *src_o, *dst_o, *la_o, *lb_o, *fid_o,
+             *cid_o, *lcap_o, *lused_o, *touched, *rates, *scheduled;
+    if (!PyArg_ParseTuple(args, "OOOOOOOOOOOOO", &runs_in, &weights,
+                          &src_o, &dst_o, &la_o, &lb_o, &fid_o, &cid_o,
                           &lcap_o, &lused_o, &touched, &rates, &scheduled))
         return NULL;
 
     bufs B = {0};
+    pathcols P;
     PyObject *result = NULL;
     PyObject *runs_fast = NULL;
     PyObject *wfast = NULL;
@@ -1898,17 +1967,19 @@ aalo_ports(PyObject *self, PyObject *args)
     char *dead = NULL;
     Py_ssize_t nruns = 0;
 
-    Py_ssize_t ncols, n2, n3, n4, nports, nused;
-    int64_t *src = bufs_get(&B, src_o, 'q', &ncols, "src");
-    int64_t *dst = bufs_get(&B, dst_o, 'q', &n2, "dst");
-    int64_t *fid = bufs_get(&B, fid_o, 'q', &n3, "flow_id");
-    int64_t *cid = bufs_get(&B, cid_o, 'q', &n4, "coflow_id");
-    double *lcap = bufs_get(&B, lcap_o, 'd', &nports, "capacity");
-    double *lused = bufs_get(&B, lused_o, 'd', &nused, "used");
-    if (src == NULL || dst == NULL || fid == NULL || cid == NULL
-        || lcap == NULL || lused == NULL)
+    Py_ssize_t n3, n4, nports, nused;
+    if (pathcols_get(&B, &P, src_o, dst_o, la_o, lb_o) < 0)
         goto done;
-    if (n2 != ncols || n3 != ncols || n4 != ncols || nused != nports) {
+    Py_ssize_t ncols = P.n;
+    int64_t *src = P.src;
+    int64_t *fid = bufs_get(&B, fid_o, 'q', &n3, "flow_id");
+    int64_t *cid = fid ? bufs_get(&B, cid_o, 'q', &n4, "coflow_id") : NULL;
+    double *lcap = cid ? bufs_get(&B, lcap_o, 'd', &nports, "capacity")
+                       : NULL;
+    double *lused = lcap ? bufs_get(&B, lused_o, 'd', &nused, "used") : NULL;
+    if (lused == NULL)
+        goto done;
+    if (n3 != ncols || n4 != ncols || nused != nports) {
         PyErr_SetString(PyExc_ValueError,
                         "fastcore: aalo_ports column/ledger length mismatch");
         goto done;
@@ -2035,86 +2106,66 @@ aalo_ports(PyObject *self, PyObject *args)
             while (k < hi && p_queue[k] == q);
         }
 
-        /* Pass 1: each occupied queue spends its weighted share, FIFO. */
-        for (Py_ssize_t k = lo; k < hi; ) {
-            int q = p_queue[k];
-            Py_ssize_t end = k;
-            do
-                end++;
-            while (end < hi && p_queue[end] == q);
-            double budget = port_capacity * wq[q] / tw;
-            for (; k < end; k++) {
-                if (budget <= 0.0)
-                    break;
-                double rate = cap_src - used_src;
-                if (rate <= 0.0) {          /* sender port exhausted */
-                    lused[p] = used_src;
-                    goto next_port;
+        /* Pass 0: each occupied queue spends its weighted share, FIFO.
+         * Pass 1 (work conservation): spill in strict priority+FIFO —
+         * the same walk with an infinite budget per run. */
+        for (int pass = 0; pass < 2; pass++) {
+            for (Py_ssize_t k = lo; k < hi; ) {
+                int q = p_queue[k];
+                Py_ssize_t end = k;
+                do
+                    end++;
+                while (end < hi && p_queue[end] == q);
+                double budget = pass == 0 ? port_capacity * wq[q] / tw
+                                          : INFINITY;
+                for (; k < end; k++) {
+                    if (budget <= 0.0)
+                        break;
+                    double rate = cap_src - used_src;
+                    if (rate <= 0.0) {      /* sender port exhausted */
+                        lused[p] = used_src;
+                        goto next_port;
+                    }
+                    int64_t path[MAX_PATH];
+                    if (row_path(&P, p_row[k], nports, path) < 0)
+                        goto done;
+                    int64_t d = path[1];
+                    if (dead[d])
+                        continue;
+                    double cap_dst = lcap[d];
+                    for (int s = 1; s < MAX_PATH && path[s] >= 0; s++) {
+                        double other = lcap[path[s]] - lused[path[s]];
+                        if (other < rate)
+                            rate = other;
+                    }
+                    if (budget < rate)
+                        rate = budget;
+                    if (rate <= 0.0) {
+                        /* only an exhausted receiver is memoised */
+                        if (cap_dst - lused[d] <= 0.0)
+                            dead[d] = 1;
+                        continue;
+                    }
+                    double nu = used_src + rate;
+                    used_src = nu < cap_src ? nu : cap_src;
+                    if (set_add_port(touched, (int64_t)p) < 0)
+                        goto done;
+                    for (int s = 1; s < MAX_PATH && path[s] >= 0; s++) {
+                        int64_t link = path[s];
+                        double link_cap = lcap[link];
+                        nu = lused[link] + rate;
+                        lused[link] = nu < link_cap ? nu : link_cap;
+                        if (set_add_port(touched, link) < 0)
+                            goto done;
+                    }
+                    budget -= rate;
+                    if (rate_accum(rates, fid[p_row[k]], rate) < 0)
+                        goto done;
+                    if (set_add_port(scheduled, cid[p_row[k]]) < 0)
+                        goto done;
                 }
-                int64_t d = dst[p_row[k]];
-                if (d < 0 || d >= nports) {
-                    PyErr_Format(PyExc_IndexError,
-                                 "fastcore: receiver port %lld out of range",
-                                 (long long)d);
-                    goto done;
-                }
-                if (dead[d])
-                    continue;
-                double cap_dst = lcap[d];
-                double other = cap_dst - lused[d];
-                if (other < rate)
-                    rate = other;
-                if (budget < rate)
-                    rate = budget;
-                if (rate <= 0.0) {
-                    dead[d] = 1;
-                    continue;
-                }
-                double nu = used_src + rate;
-                used_src = nu < cap_src ? nu : cap_src;
-                nu = lused[d] + rate;
-                lused[d] = nu < cap_dst ? nu : cap_dst;
-                if (set_add_port(touched, (int64_t)p) < 0
-                    || set_add_port(touched, d) < 0)
-                    goto done;
-                budget -= rate;
-                if (rate_accum(rates, fid[p_row[k]], rate) < 0)
-                    goto done;
-                if (set_add_port(scheduled, cid[p_row[k]]) < 0)
-                    goto done;
+                k = end;
             }
-            k = end;
-        }
-
-        /* Pass 2 (work conservation): spill in strict priority+FIFO. */
-        for (Py_ssize_t k = lo; k < hi; k++) {
-            double rate = cap_src - used_src;
-            if (rate <= 0.0) {              /* sender port exhausted */
-                lused[p] = used_src;
-                goto next_port;
-            }
-            int64_t d = dst[p_row[k]];
-            if (dead[d])
-                continue;
-            double cap_dst = lcap[d];
-            double other = cap_dst - lused[d];
-            if (other < rate)
-                rate = other;
-            if (rate <= 0.0) {
-                dead[d] = 1;
-                continue;
-            }
-            double nu = used_src + rate;
-            used_src = nu < cap_src ? nu : cap_src;
-            nu = lused[d] + rate;
-            lused[d] = nu < cap_dst ? nu : cap_dst;
-            if (set_add_port(touched, (int64_t)p) < 0
-                || set_add_port(touched, d) < 0)
-                goto done;
-            if (rate_accum(rates, fid[p_row[k]], rate) < 0)
-                goto done;
-            if (set_add_port(scheduled, cid[p_row[k]]) < 0)
-                goto done;
         }
         lused[p] = used_src;
     next_port:;

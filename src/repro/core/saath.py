@@ -114,42 +114,18 @@ class SaathScheduler(Scheduler):
         ledger = self._round_ledger(state)
         allocation = Allocation()
 
-        #: Flow-group compaction: per-port pending counts replace the
+        #: Flow-group compaction: per-link pending counts replace the
         #: per-flow recount in admission and D2 rate assignment whenever
         #: they exactly describe the schedulable set.
         use_counts = self.config.epochs
 
-        paths = state.paths
-        if paths is not None:
-            # Path-aware round (multi-tier topology): all-or-none admission
-            # and the D2 equal rate run over *link* counts, so a coflow is
-            # admitted only when every core link on its flows' paths still
-            # has capacity, and its rate saturates at the true bottleneck.
-            missed_path: list[list[Flow]] = []
-            for coflow in order:
-                flows = state.schedulable_flows(coflow, now)
-                if not flows:
-                    continue
-                counts = state.link_counts(coflow, now, flows=flows)
-                if self._all_or_none_admissible(flows, ledger, counts):
-                    rates = equal_rate_for_coflow_paths(
-                        coflow, ledger, paths,
-                        flows=flows, link_counts=counts,
-                    )
-                    if rates:
-                        allocation.rates.update(rates)
-                        allocation.scheduled_coflows.add(coflow.coflow_id)
-                        continue
-                missed_path.append(flows)
-            if self.work_conservation and missed_path:
-                # greedy_residual_rates fills through ledger.fill, which a
-                # LinkLedger bounds by (and charges to) the whole path.
-                self._work_conserve(missed_path, ledger, allocation)
-            return allocation
-
         if state.rows_tracked():
-            # Row path: admission, D2 rates and work conservation all walk
-            # table rows (same arithmetic and order as the object path).
+            # Row path on either fabric: admission, D2 rates and work
+            # conservation all walk table rows over each flow's whole link
+            # path (the table's core-link columns), so on a multi-tier
+            # topology a coflow is admitted only when every core link on
+            # its flows' paths still has capacity, and its rate saturates
+            # at the true bottleneck.
             table = state.table
             missed_rows: list[list[int]] = []
             for coflow in order:
@@ -173,6 +149,11 @@ class SaathScheduler(Scheduler):
                 )
             return allocation
 
+        # Object path (hand-assembled states). On a multi-tier topology
+        # admission and the D2 rate run over link counts and the *_paths
+        # form; the greedy fill goes through ledger.fill, which a
+        # LinkLedger bounds by (and charges to) the whole path.
+        paths = state.paths
         #: Missed coflows with their (already gathered) schedulable flows,
         #: so work conservation does not re-derive the same lists.
         missed: list[list[Flow]] = []
@@ -180,11 +161,21 @@ class SaathScheduler(Scheduler):
             flows = state.schedulable_flows(coflow, now)
             if not flows:
                 continue
-            counts = state.port_counts(coflow, now) if use_counts else None
+            if paths is not None:
+                counts = state.link_counts(coflow, now, flows=flows)
+            else:
+                counts = (state.port_counts(coflow, now)
+                          if use_counts else None)
             if self._all_or_none_admissible(flows, ledger, counts):
-                rates = equal_rate_for_coflow(
-                    coflow, ledger, flows=flows, port_counts=counts
-                )
+                if paths is not None:
+                    rates = equal_rate_for_coflow_paths(
+                        coflow, ledger, paths,
+                        flows=flows, link_counts=counts,
+                    )
+                else:
+                    rates = equal_rate_for_coflow(
+                        coflow, ledger, flows=flows, port_counts=counts
+                    )
                 if rates:
                     allocation.rates.update(rates)
                     allocation.scheduled_coflows.add(coflow.coflow_id)
@@ -377,8 +368,9 @@ class SaathScheduler(Scheduler):
 
     def _admissible_rows(self, rows: list[int], table, ledger,
                          port_counts: dict[int, int] | None = None) -> bool:
-        """Row-path twin of :meth:`_all_or_none_admissible` (same ports,
-        same conjunction). ``residual(p) >= min_rate`` is evaluated as
+        """Row-path twin of :meth:`_all_or_none_admissible` over every link
+        of the rows' paths (host ports plus core links; same conjunction).
+        ``residual(p) >= min_rate`` is evaluated as
         ``capacity - used >= min_rate`` over the ledger's dense lists —
         ``min_rate`` is validated positive, so the max-with-zero clamp
         inside ``residual`` cannot change the comparison."""
@@ -392,10 +384,18 @@ class SaathScheduler(Scheduler):
             return True
         src_col = table.src
         dst_col = table.dst
+        la_col = table.link_a
+        lb_col = table.link_b
         ports: set[int] = set()
         for i in rows:
             ports.add(src_col[i])
             ports.add(dst_col[i])
+            a = la_col[i]
+            if a >= 0:
+                ports.add(a)
+                b = lb_col[i]
+                if b >= 0:
+                    ports.add(b)
         for p in ports:
             if lcap[p] - lused[p] < min_rate:
                 return False

@@ -24,7 +24,6 @@ from collections import defaultdict
 
 from .._fastcore import core as _core
 from ..config import SimulationConfig
-from ..simulator.fabric import PortLedger
 from ..simulator.flows import CoFlow, Flow
 from ..simulator.state import ClusterState
 from .base import Allocation, Scheduler
@@ -109,14 +108,13 @@ class AaloScheduler(Scheduler):
         # a unique FIFO index and its flows carry ascending ids — without
         # building or sorting a key tuple per flow. Flows are bucketed into
         # equal-queue runs directly, so the per-port pass needn't re-slice.
+        if state.rows_tracked():
+            return self._schedule_rows(state, now)
+        # Object path (hand-assembled states): every grant goes through
+        # ledger.fill_capped, which a LinkLedger bounds by (and charges
+        # to) the flow's whole link path.
         queue_of = self.tracker.queue_of
         arrival_order = self._arrival_order
-        # Path-aware states stay on the object path: every grant below goes
-        # through ledger.fill_capped, which a LinkLedger bounds by (and
-        # charges to) the flow's whole link path — the row path's inlined
-        # port-only fill would ignore core links.
-        if state.paths is None and state.rows_tracked():
-            return self._schedule_rows(state, now)
         ordered = sorted(
             state.active_coflows,
             key=lambda c: (queue_of(c), arrival_order[c.coflow_id]),
@@ -166,13 +164,10 @@ class AaloScheduler(Scheduler):
         ledger = self._round_ledger(state)
         # Compiled round core: same flatten-and-serve, with the per-port
         # bucketing (CSR over senders) and both allocation passes in C.
-        # Only the exact PortLedger layout qualifies (paths is None here,
-        # so that is always the case unless a subclass overrides it).
         # When a tracer wants port-level events this round runs on the
         # bit-identical Python twin instead, so per-grant state is visible.
         tracer = self.tracer
         if (table.fastcore and _core is not None
-                and type(ledger) is PortLedger
                 and not (tracer is not None
                          and tracer.forces_python_kernels)):
             coflow_runs = []
@@ -186,7 +181,8 @@ class AaloScheduler(Scheduler):
                 self.metrics.inc("kernel.aalo_ports.fastcore")
             _core.aalo_ports(
                 coflow_runs, self._queue_weight,
-                table.src, table.dst, table.flow_id, table.coflow_id,
+                table.src, table.dst, table.link_a, table.link_b,
+                table.flow_id, table.coflow_id,
                 ledger.capacity_list, ledger.used_list, ledger.touched_set,
                 allocation.rates, allocation.scheduled_coflows,
             )
@@ -216,8 +212,9 @@ class AaloScheduler(Scheduler):
         dead_dst: set[int] = set()
         lists = (
             ledger.capacity_list, ledger.used_list, ledger.touched_set,
-            table.flow_id, table.coflow_id, table.dst,
-            allocation.rates, allocation.scheduled_coflows, dead_dst,
+            table.flow_id, table.coflow_id, table.dst, table.link_a,
+            table.link_b, allocation.rates, allocation.scheduled_coflows,
+            dead_dst,
         )
         for port in sorted(per_sender):
             self._allocate_port_rows(port, per_sender[port], lists)
@@ -227,20 +224,26 @@ class AaloScheduler(Scheduler):
                             runs: list[tuple[int, list[int]]],
                             lists: tuple) -> None:
         """Row-path twin of :meth:`_allocate_port` (same grants, same
-        order); flow identity and receiver ports come from the table
-        columns, and :meth:`~repro.simulator.fabric.PortLedger.fill_capped`
-        is fused inline over the ledger's dense lists — every flow here
+        order); flow identity, receiver ports and core links come from the
+        table columns, and
+        :meth:`~repro.simulator.topology.LinkLedger.fill_capped` is fused
+        inline over the ledger's dense lists — every flow here
         sends from ``port``, so its usage rides in a local accumulator and
         is written back once (grant arithmetic and at-capacity clamps are
-        identical, and receiver ports live in a disjoint id range, so no
-        read can observe the deferred write). ``lists`` carries the
-        round-hoisted ledger lists, table columns, allocation sinks and
-        the round's dead-receiver memo — an exhausted receiver stays
-        exhausted for the rest of the round (usage only grows), so
-        skipping it is an exact no-op: the fill would have granted 0 and
-        committed nothing."""
-        (lcap, lused, touched, fid, cid, dst_col, rates, scheduled,
-         dead_dst) = lists
+        identical, and receiver ports and core links live in id ranges
+        disjoint from the senders', so no read can observe the deferred
+        write). ``lists`` carries the round-hoisted ledger lists, table
+        columns, allocation sinks and the round's dead-receiver memo — an
+        exhausted receiver stays exhausted for the rest of the round (usage
+        only grows), so skipping it is an exact no-op: the fill would have
+        granted 0 and committed nothing. Only an exhausted *receiver* is
+        memoised: a full core link blocks one path, not the receiver.
+
+        The work-conservation spill (pass 2) is pass 1 with an infinite
+        budget per run: the budget then never binds, never runs out and
+        stays infinite, so one loop serves both passes."""
+        (lcap, lused, touched, fid, cid, dst_col, la_col, lb_col, rates,
+         scheduled, dead_dst) = lists
         cap_src = lcap[port]
         used_src = lused[port]
         port_capacity = cap_src - used_src  # == ledger.residual(port)
@@ -250,12 +253,15 @@ class AaloScheduler(Scheduler):
         total_weight = 0.0
         for q, _ in runs:
             total_weight += weight_of[q]
+        # Pass 1: each occupied queue spends its weighted share, FIFO.
+        # Pass 2: spill leftover capacity in strict priority+FIFO order,
+        # e.g. when a queue's share outruns its flows' receiver capacity.
+        budgets = [port_capacity * weight_of[q] / total_weight
+                   for q, _ in runs]
+        budgets += [math.inf] * len(runs)
 
         rates_get = rates.get
-
-        # Pass 1: each occupied queue spends its weighted share, FIFO.
-        for q, run in runs:
-            budget = port_capacity * weight_of[q] / total_weight
+        for budget, (_, run) in zip(budgets, runs + runs):
             for i in run:
                 if budget <= 0:
                     break
@@ -270,12 +276,23 @@ class AaloScheduler(Scheduler):
                 other = cap_dst - lused[dst]
                 if other < rate:
                     rate = other
+                a = la_col[i]
+                b = lb_col[i]
+                if a >= 0:
+                    other = lcap[a] - lused[a]
+                    if other < rate:
+                        rate = other
+                    if b >= 0:
+                        other = lcap[b] - lused[b]
+                        if other < rate:
+                            rate = other
                 if budget < rate:
                     rate = budget
                 if rate <= 0:
                     # Sender residual and budget are positive here, so the
-                    # receiver must be exhausted: memoise it.
-                    dead_dst.add(dst)
+                    # receiver or a core link is exhausted.
+                    if cap_dst - lused[dst] <= 0:
+                        dead_dst.add(dst)
                     continue
                 new_used = used_src + rate
                 used_src = new_used if new_used < cap_src else cap_src
@@ -283,36 +300,14 @@ class AaloScheduler(Scheduler):
                 lused[dst] = new_used if new_used < cap_dst else cap_dst
                 touched.add(port)
                 touched.add(dst)
+                for link in (a, b):
+                    if link < 0:
+                        break
+                    cap = lcap[link]
+                    new_used = lused[link] + rate
+                    lused[link] = new_used if new_used < cap else cap
+                    touched.add(link)
                 budget -= rate
-                flow_id = fid[i]
-                rates[flow_id] = rates_get(flow_id, 0.0) + rate
-                scheduled.add(cid[i])
-
-        # Pass 2 (work conservation): spill leftover capacity in strict
-        # priority+FIFO order, e.g. when a queue's share outruns its flows'
-        # receiver capacity.
-        for _, run in runs:
-            for i in run:
-                rate = cap_src - used_src
-                if rate <= 0:  # sender port exhausted
-                    lused[port] = used_src
-                    return
-                dst = dst_col[i]
-                if dst in dead_dst:
-                    continue
-                cap_dst = lcap[dst]
-                other = cap_dst - lused[dst]
-                if other < rate:
-                    rate = other
-                if rate <= 0:
-                    dead_dst.add(dst)
-                    continue
-                new_used = used_src + rate
-                used_src = new_used if new_used < cap_src else cap_src
-                new_used = lused[dst] + rate
-                lused[dst] = new_used if new_used < cap_dst else cap_dst
-                touched.add(port)
-                touched.add(dst)
                 flow_id = fid[i]
                 rates[flow_id] = rates_get(flow_id, 0.0) + rate
                 scheduled.add(cid[i])

@@ -35,24 +35,6 @@ class UcTcpScheduler(Scheduler):
         allocation = Allocation()
         positive = allocation.rates
         scheduled = allocation.scheduled_coflows
-        if state.paths is not None:
-            # Path-aware round: fair sharing over every link of each
-            # flow's path, so an oversubscribed core link caps the fair
-            # shares of all flows crossing it (the fluid analogue of TCP
-            # backing off at an in-network bottleneck).
-            flows = []
-            for coflow in state.active_coflows:
-                flows.extend(state.schedulable_flows(coflow, now))
-            ledger = self._round_ledger(state)
-            rates = max_min_fair_paths(
-                flows, state.paths, ledger, commit=False
-            )
-            for f in flows:
-                rate = rates.get(f.flow_id, 0.0)
-                if rate > 0:
-                    positive[f.flow_id] = rate
-                    scheduled.add(f.coflow_id)
-            return allocation
         if state.rows_tracked():
             # Row path: gather table rows and run the fair filling straight
             # over the flow-table columns (same fills, same tie-breaks).
@@ -86,11 +68,21 @@ class UcTcpScheduler(Scheduler):
                     positive[fid[i]] = rate
                     scheduled.add(cid[i])
             return allocation
+        # Object path (hand-assembled states). On a multi-tier topology the
+        # fair sharing runs over every link of each flow's path, so an
+        # oversubscribed core link caps the fair shares of all flows
+        # crossing it (the fluid analogue of TCP backing off at an
+        # in-network bottleneck).
         flows: list[Flow] = []
         for coflow in state.active_coflows:
             flows.extend(state.schedulable_flows(coflow, now))
         ledger = self._round_ledger(state)
-        rates = max_min_fair(flows, ledger, commit=False)
+        if state.paths is not None:
+            rates = max_min_fair_paths(
+                flows, state.paths, ledger, commit=False
+            )
+        else:
+            rates = max_min_fair(flows, ledger, commit=False)
         rates_get = rates.get
         for f in flows:
             rate = rates_get(f.flow_id, 0.0)

@@ -66,13 +66,13 @@ class VarysSebfScheduler(Scheduler):
 
     def schedule(self, state: ClusterState, now: float) -> Allocation:
         self._refresh_gamma_cache(state)
-        # Path-aware states take the object path with the path-aware MADD:
-        # Γ then covers core links, so rates respect the true bottleneck
-        # (SEBF *ordering* keeps the paper's host-port Γ — the clairvoyant
-        # priority is a policy choice, the rate feasibility is not).
-        paths = state.paths
-        if paths is None and state.rows_tracked():
+        # On a multi-tier topology MADD's Γ covers every path link, so
+        # rates respect the true bottleneck (SEBF *ordering* keeps the
+        # paper's host-port Γ — the clairvoyant priority is a policy
+        # choice, the rate feasibility is not).
+        if state.rows_tracked():
             return self._schedule_rows(state, now)
+        paths = state.paths
         order = sorted(
             state.active_coflows,
             key=lambda c: (self._gamma(c, state), c.arrival_time, c.coflow_id),

@@ -11,29 +11,39 @@ Three allocators used across the schedulers:
 * :func:`equal_rate_for_coflow` — Saath's D2 rule: one equal rate for all
   flows of a coflow, the minimum of the per-flow fair caps.
 
-All functions operate on a :class:`~repro.simulator.fabric.PortLedger` so
-the caller controls what capacity is visible (residual capacity after
+All functions operate on a :class:`~repro.simulator.fabric.PortLedger` (or
+its path-charging subclass :class:`~repro.simulator.topology.LinkLedger`)
+so the caller controls what capacity is visible (residual capacity after
 higher-priority allocations).
 
-Each allocator exists in two forms performing the *same arithmetic in the
-same order* (bit-identical outputs, asserted by the equivalence tests):
+Every allocator treats a flow as a *path* of links: its sender port, its
+receiver port and, on a multi-tier topology, the core links a
+:class:`~repro.simulator.topology.PathMap` assigns to the pair, so rates
+saturate at the true bottleneck link. Each allocator exists in forms
+performing the *same arithmetic in the same order* (bit-identical outputs,
+asserted by the equivalence tests):
 
-* the object form (``flows``: a sequence of :class:`Flow`), used by tests
-  and hand-assembled states; and
-* a ``*_rows`` form taking table row indices plus the owning
-  :class:`~repro.simulator.state.FlowTable`, used by the schedulers on
-  engine-driven states — per-flow state is read by integer-indexing the
-  table columns and the ledger's dense per-port lists, with no attribute
-  or dict dispatch in the fill loops.
+* the ``*_rows`` form, taking table row indices plus the owning
+  :class:`~repro.simulator.state.FlowTable` — the production path of every
+  engine-driven round on either fabric. A row's path is
+  ``src, dst, link_a, link_b`` read straight off the table columns (core
+  links ``-1`` when absent, always on a big switch) and indexes the
+  ledger's dense per-link lists, with no attribute or dict dispatch in the
+  fill loops. With ``table.fastcore`` set each row form dispatches to its
+  compiled twin in :mod:`repro._fastcore`;
+* the object form (``flows``: a sequence of :class:`Flow`), port-only —
+  the readable reference, and the form hand-assembled big-switch states
+  use;
+* ``*_paths`` twins (:func:`max_min_fair_paths`, :func:`madd_rates_paths`,
+  :func:`equal_rate_for_coflow_paths`) of the object forms that look each
+  pair's core links up in a ``PathMap`` — for hand-assembled path-aware
+  states and the object-only schedulers (offline, Sincronia). On a
+  big-switch map they are bit-identical to the port-only forms.
 
-Multi-tier topologies add a third form: ``*_paths`` twins
-(:func:`max_min_fair_paths`, :func:`madd_rates_paths`,
-:func:`equal_rate_for_coflow_paths`) that treat every flow as a *path* of
-links — sender port, receiver port, plus the core links a
-:class:`~repro.simulator.topology.PathMap` assigns to the pair — so the
-computed rates saturate at the true bottleneck link. On a big-switch
-topology every path is just ``(src, dst)`` and the path twins are
-bit-identical to the port-only forms (asserted by the fuzz suite).
+Walking a path, every form visits its links in the order sender, receiver,
+then core links, and commits with :meth:`LinkLedger.commit`'s arithmetic
+(per link: touch, tolerance check, at-capacity clamp), so a capacity
+violation names the same link in every form.
 """
 
 from __future__ import annotations
@@ -217,71 +227,63 @@ def max_min_fair_rows_raw(
     if not num_flows or (rate_cap is not None and rate_cap <= 0):
         return active, rate_of
 
-    # Compiled twin: the exact-type check keeps LinkLedger subclasses
-    # (path-charging commits) on the Python path, whose virtual dispatch
-    # the C kernel deliberately does not replicate.
     metrics = ledger._metrics
-    if table.fastcore and _core is not None and type(ledger) is PortLedger:
+    if table.fastcore and _core is not None:
         if metrics is not None:
             metrics.inc("kernel.mmf_fill.fastcore")
         return active, _core.mmf_fill(
-            active, table.src, table.dst, ledger.capacity_list,
-            ledger.used_list, ledger.touched_set, rate_cap, commit,
+            active, table.src, table.dst, table.link_a, table.link_b,
+            ledger.capacity_list, ledger.used_list, ledger.touched_set,
+            rate_cap, commit,
         )
     if metrics is not None:
         metrics.inc("kernel.mmf_fill.python")
 
     src_col = table.src
     dst_col = table.dst
+    la_col = table.link_a
+    lb_col = table.link_b
     lcap = ledger.capacity_list
     lused = ledger.used_list
 
-    # Dense port indexing in first-seen order (src before dst per flow).
-    # Port ids are already dense fabric indices, so the first-seen map is a
-    # flat position list instead of a dict (same assignment order).
-    port_pos: list[int] = [-1] * len(lcap)
+    # Dense link indexing in first-seen order (per flow: src, dst, core
+    # links). Link ids are already dense, so the first-seen map is a flat
+    # position list instead of a dict (same assignment order).
+    link_pos: list[int] = [-1] * len(lcap)
     residual: list[float] = []
     live: list[int] = []
-    #: dense port -> flow positions touching it, in flow order.
+    #: dense link -> flow positions crossing it, in flow order.
     members: list[list[int]] = []
-    src_i: list[int] = [0] * num_flows
-    dst_i: list[int] = [0] * num_flows
+    #: flow position -> dense indices of every link on its path.
+    path_idx: list[list[int]] = [[]] * num_flows
     for k, i in enumerate(active):
-        port = src_col[i]
-        j = port_pos[port]
-        if j < 0:
-            port_pos[port] = j = len(residual)
-            r = lcap[port] - lused[port]  # == ledger.residual(port)
-            residual.append(r if r >= 0.0 else 0.0)
-            live.append(1)
-            members.append([k])
-        else:
-            live[j] += 1
-            members[j].append(k)
-        src_i[k] = j
-        port = dst_col[i]
-        j = port_pos[port]
-        if j < 0:
-            port_pos[port] = j = len(residual)
-            r = lcap[port] - lused[port]
-            residual.append(r if r >= 0.0 else 0.0)
-            live.append(1)
-            members.append([k])
-        else:
-            live[j] += 1
-            members[j].append(k)
-        dst_i[k] = j
+        idx = []
+        for link in (src_col[i], dst_col[i], la_col[i], lb_col[i]):
+            if link < 0:
+                break
+            j = link_pos[link]
+            if j < 0:
+                link_pos[link] = j = len(residual)
+                r = lcap[link] - lused[link]  # == ledger.residual(link)
+                residual.append(r if r >= 0.0 else 0.0)
+                live.append(1)
+                members.append([k])
+            else:
+                live[j] += 1
+                members[j].append(k)
+            idx.append(j)
+        path_idx[k] = idx
 
     frozen = bytearray(num_flows)
     remaining = num_flows
     inf = math.inf
-    #: Per-port fair share ``residual / live`` (inf once drained),
+    #: Per-link fair share ``residual / live`` (inf once drained),
     #: maintained incrementally: a share only changes when one of its
-    #: port's inputs changes, so the bottleneck search collapses to a
+    #: link's inputs changes, so the bottleneck search collapses to a
     #: C-level ``min`` + first-index lookup. ``index(min)`` returns the
     #: lowest dense index achieving the minimum — dense indices were
     #: assigned in first-seen order, so this is exactly the object form's
-    #: ascending-scan tie-break (first port among equal shares).
+    #: ascending-scan tie-break (first link among equal shares).
     shares = [residual[j] / live[j] for j in range(len(residual))]
 
     while remaining:
@@ -296,32 +298,45 @@ def max_min_fair_rows_raw(
                     rate_of[k] = rate_cap
             break
 
+        # Freeze the flows on the bottleneck link at the fair share and
+        # subtract it from every link of each frozen flow's path (the
+        # per-update negative clamp of the object form).
         for k in members[best_j]:
             if frozen[k]:
                 continue
             frozen[k] = 1
             rate_of[k] = best_share
-            j = src_i[k]
-            nr = residual[j] - best_share
-            residual[j] = nr = nr if nr >= 0 else 0.0
-            lv = live[j] - 1
-            live[j] = lv
-            shares[j] = nr / lv if lv else inf
-            j = dst_i[k]
-            nr = residual[j] - best_share
-            residual[j] = nr = nr if nr >= 0 else 0.0
-            lv = live[j] - 1
-            live[j] = lv
-            shares[j] = nr / lv if lv else inf
+            for j in path_idx[k]:
+                nr = residual[j] - best_share
+                residual[j] = nr = nr if nr >= 0 else 0.0
+                lv = live[j] - 1
+                live[j] = lv
+                shares[j] = nr / lv if lv else inf
             remaining -= 1
 
     if commit:
-        ledger_commit = ledger.commit
+        touched = ledger.touched_set
         for k, i in enumerate(active):
             rate = rate_of[k]
             if rate > 0:
-                ledger_commit(src_col[i], dst_col[i], rate)
+                _commit_path(lcap, lused, touched, rate,
+                             src_col[i], dst_col[i], la_col[i], lb_col[i])
     return active, rate_of
+
+
+def _commit_path(lcap, lused, touched, rate: float, *path: int) -> None:
+    """:meth:`LinkLedger.commit` over one row's path, inlined on the dense
+    lists: per link (``-1`` ends the path) touch, tolerance check and
+    at-capacity clamp, raising on the first over-committed link."""
+    for link in path:
+        if link < 0:
+            return
+        touched.add(link)
+        cap = lcap[link]
+        new_used = lused[link] + rate
+        if new_used > cap * _CAPACITY_TOLERANCE:
+            raise CapacityViolationError(str(link), new_used, cap)
+        lused[link] = new_used if new_used < cap else cap
 
 
 def max_min_fair_rows(
@@ -401,16 +416,17 @@ def madd_rates_rows(
     """Row-path twin of :func:`madd_rates` (same Γ, same scaling).
 
     ``rows`` are the coflow's schedulable rows; remaining volumes are read
-    straight off the table columns.
+    straight off the table columns. Γ covers every path link, core links
+    included (the arithmetic of :func:`madd_rates_paths`).
     """
     metrics = ledger._metrics
-    if table.fastcore and _core is not None and type(ledger) is PortLedger:
+    if table.fastcore and _core is not None:
         if metrics is not None:
             metrics.inc("kernel.madd_rows.fastcore")
         return _core.madd_rows(
             rows, table.finish_time, table.volume, table.bytes_sent,
-            table.src, table.dst, table.flow_id, ledger.capacity_list,
-            ledger.used_list, ledger.touched_set,
+            table.src, table.dst, table.link_a, table.link_b, table.flow_id,
+            ledger.capacity_list, ledger.used_list, ledger.touched_set,
         )
     if metrics is not None:
         metrics.inc("kernel.madd_rows.python")
@@ -419,13 +435,15 @@ def madd_rates_rows(
     bs = table.bytes_sent
     src_col = table.src
     dst_col = table.dst
-    # Liveness filter and per-port byte aggregation fused into one pass
+    la_col = table.link_a
+    lb_col = table.link_b
+    # Liveness filter and per-link byte aggregation fused into one pass
     # (same walk order, same accumulation order; ``remaining`` is computed
     # once and reused for the rate assignment below).
     todo: list[int] = []
     left: list[float] = []
-    port_bytes: dict[int, float] = {}
-    get = port_bytes.get
+    link_bytes: dict[int, float] = {}
+    get = link_bytes.get
     for i in rows:
         if ft[i] is not None:
             continue
@@ -434,18 +452,18 @@ def madd_rates_rows(
             continue
         todo.append(i)
         left.append(remaining)
-        src = src_col[i]
-        dst = dst_col[i]
-        port_bytes[src] = get(src, 0.0) + remaining
-        port_bytes[dst] = get(dst, 0.0) + remaining
+        for link in (src_col[i], dst_col[i], la_col[i], lb_col[i]):
+            if link < 0:
+                break
+            link_bytes[link] = get(link, 0.0) + remaining
     if not todo:
         return {}
 
     lcap = ledger.capacity_list
     lused = ledger.used_list
     gamma = 0.0
-    for port, volume in port_bytes.items():
-        residual = lcap[port] - lused[port]  # == ledger.residual(port)
+    for link, volume in link_bytes.items():
+        residual = lcap[link] - lused[link]  # == ledger.residual(link)
         if residual <= 0:
             return {}
         share = volume / residual
@@ -454,29 +472,15 @@ def madd_rates_rows(
     if gamma <= 0:
         return {}
 
-    # Rate build and ledger commit fused into one pass; the commit
-    # arithmetic (tolerance check, at-capacity clamp, touched-port
-    # bookkeeping) is PortLedger.commit's, inlined.
+    # Rate build and ledger commit fused into one pass.
     fid = table.flow_id
     touched = ledger.touched_set
     rates: dict[int, float] = {}
     for i, remaining in zip(todo, left):
         rate = remaining / gamma
         rates[fid[i]] = rate
-        src = src_col[i]
-        dst = dst_col[i]
-        touched.add(src)
-        touched.add(dst)
-        cap = lcap[src]
-        new_used = lused[src] + rate
-        if new_used > cap * _CAPACITY_TOLERANCE:
-            raise CapacityViolationError(str(src), new_used, cap)
-        lused[src] = new_used if new_used < cap else cap
-        cap = lcap[dst]
-        new_used = lused[dst] + rate
-        if new_used > cap * _CAPACITY_TOLERANCE:
-            raise CapacityViolationError(str(dst), new_used, cap)
-        lused[dst] = new_used if new_used < cap else cap
+        _commit_path(lcap, lused, touched, rate,
+                     src_col[i], dst_col[i], la_col[i], lb_col[i])
     return rates
 
 
@@ -548,16 +552,20 @@ def equal_rate_for_coflow_rows(
     """Row-path twin of :func:`equal_rate_for_coflow` (same caps, same min).
 
     ``rows`` are the coflow's schedulable rows; ``port_counts`` is the
-    cluster state's compaction cache exactly as in the object form.
+    cluster state's compaction cache (per-*link* counts over whole paths on
+    a path-aware state). Without it the counts are rebuilt over the rows'
+    paths. Each link's cap is the same division either way and the
+    minimum over the same set of caps is the same float, so both branches
+    agree bitwise with the per-flow minimum of the object forms.
     """
     metrics = ledger._metrics
-    if table.fastcore and _core is not None and type(ledger) is PortLedger:
+    if table.fastcore and _core is not None:
         if metrics is not None:
             metrics.inc("kernel.equal_rate_rows.fastcore")
         return _core.equal_rate_rows(
-            rows, table.finish_time, table.src, table.dst, table.flow_id,
-            ledger.capacity_list, ledger.used_list, ledger.touched_set,
-            port_counts,
+            rows, table.finish_time, table.src, table.dst, table.link_a,
+            table.link_b, table.flow_id, ledger.capacity_list,
+            ledger.used_list, ledger.touched_set, port_counts,
         )
     if metrics is not None:
         metrics.inc("kernel.equal_rate_rows.python")
@@ -568,49 +576,34 @@ def equal_rate_for_coflow_rows(
 
     src_col = table.src
     dst_col = table.dst
+    la_col = table.link_a
+    lb_col = table.link_b
+    if port_counts is None:
+        port_counts = defaultdict(int)
+        for i in todo:
+            for link in (src_col[i], dst_col[i], la_col[i], lb_col[i]):
+                if link < 0:
+                    break
+                port_counts[link] += 1
     lcap = ledger.capacity_list
     lused = ledger.used_list
     rate = math.inf
-    if port_counts is not None:
-        for port, count in port_counts.items():
-            r = lcap[port] - lused[port]  # == ledger.residual(port)
-            cap = (r if r >= 0.0 else 0.0) / count
-            if cap < rate:
-                rate = cap
-    else:
-        residual = ledger.residual
-        count_at_port: dict[int, int] = defaultdict(int)
-        for i in todo:
-            count_at_port[src_col[i]] += 1
-            count_at_port[dst_col[i]] += 1
-        for i in todo:
-            cap_src = residual(src_col[i]) / count_at_port[src_col[i]]
-            cap_dst = residual(dst_col[i]) / count_at_port[dst_col[i]]
-            rate = min(rate, cap_src, cap_dst)
+    for link, count in port_counts.items():
+        r = lcap[link] - lused[link]  # == ledger.residual(link)
+        cap = (r if r >= 0.0 else 0.0) / count
+        if cap < rate:
+            rate = cap
     if not math.isfinite(rate) or rate <= 0:
         return {}
 
-    # Rate map and ledger commit fused (PortLedger.commit inlined: same
-    # tolerance check, clamp and touched-port bookkeeping).
+    # Rate map and ledger commit fused.
     fid = table.flow_id
     touched = ledger.touched_set
     rates: dict[int, float] = {}
     for i in todo:
         rates[fid[i]] = rate
-        src = src_col[i]
-        dst = dst_col[i]
-        touched.add(src)
-        touched.add(dst)
-        cap = lcap[src]
-        new_used = lused[src] + rate
-        if new_used > cap * _CAPACITY_TOLERANCE:
-            raise CapacityViolationError(str(src), new_used, cap)
-        lused[src] = new_used if new_used < cap else cap
-        cap = lcap[dst]
-        new_used = lused[dst] + rate
-        if new_used > cap * _CAPACITY_TOLERANCE:
-            raise CapacityViolationError(str(dst), new_used, cap)
-        lused[dst] = new_used if new_used < cap else cap
+        _commit_path(lcap, lused, touched, rate,
+                     src_col[i], dst_col[i], la_col[i], lb_col[i])
     return rates
 
 
@@ -881,14 +874,22 @@ def greedy_residual_rates_rows(
     table: "FlowTable",
     ledger: PortLedger,
 ) -> dict[int, float]:
-    """Row-path twin of :func:`greedy_residual_rates` (same walk order)."""
+    """Row-path twin of :func:`greedy_residual_rates` (same walk order).
+
+    Each grant is :meth:`LinkLedger.fill`'s: the smallest residual along
+    the row's whole path, committed on every path link. The dead memo
+    covers every link (core links included): residuals only shrink within
+    the walk, so skipping a flow that crosses an exhausted link is exactly
+    the zero-rate no-op the fill would have returned.
+    """
     metrics = ledger._metrics
-    if table.fastcore and _core is not None and type(ledger) is PortLedger:
+    if table.fastcore and _core is not None:
         if metrics is not None:
             metrics.inc("kernel.greedy_rows.fastcore")
         return _core.greedy_rows(
             rows, table.finish_time, table.flow_id, table.src, table.dst,
-            ledger.capacity_list, ledger.used_list, ledger.touched_set,
+            table.link_a, table.link_b, ledger.capacity_list,
+            ledger.used_list, ledger.touched_set,
         )
     if metrics is not None:
         metrics.inc("kernel.greedy_rows.python")
@@ -898,33 +899,42 @@ def greedy_residual_rates_rows(
     fid = table.flow_id
     src_col = table.src
     dst_col = table.dst
-    # Fused PortLedger.fill: identical grant arithmetic and touched-port
-    # bookkeeping over the ledger's dense lists, without a method call per
-    # flow. ``residual(p) <= 0`` is ``capacity - used <= 0`` (the max-with-
+    la_col = table.link_a
+    lb_col = table.link_b
+    # Fused ledger fill over the dense lists, without a method call per
+    # flow. ``residual(l) <= 0`` is ``capacity - used <= 0`` (the max-with-
     # zero clamp never changes the sign).
     lcap = ledger.capacity_list
     lused = ledger.used_list
     touched = ledger.touched_set
+    inf = math.inf
     for i in rows:
         if ft[i] is not None:
             continue
-        src = src_col[i]
-        dst = dst_col[i]
-        if src in dead or dst in dead:
+        path = (src_col[i], dst_col[i], la_col[i], lb_col[i])
+        rate = inf
+        for link in path:
+            if link < 0:
+                break
+            if link in dead:
+                rate = None
+                break
+            other = lcap[link] - lused[link]
+            if other < rate:
+                rate = other
+        if rate is None:
             continue
-        rate = lcap[src] - lused[src]
-        rate_dst = lcap[dst] - lused[dst]
-        if rate_dst < rate:
-            rate = rate_dst
         if rate > 0:
-            lused[src] += rate
-            lused[dst] += rate
-            touched.add(src)
-            touched.add(dst)
+            for link in path:
+                if link < 0:
+                    break
+                lused[link] += rate
+                touched.add(link)
             rates[fid[i]] = rate
         else:
-            if lcap[src] - lused[src] <= 0:
-                dead.add(src)
-            if lcap[dst] - lused[dst] <= 0:
-                dead.add(dst)
+            for link in path:
+                if link < 0:
+                    break
+                if lcap[link] - lused[link] <= 0:
+                    dead.add(link)
     return rates

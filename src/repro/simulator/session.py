@@ -842,6 +842,7 @@ class SimulationSession:
                 setattr(session, attr, None)
         if session._metrics is not None:
             session._metrics.inc("session.restores")
+        session.state.restore_link_columns()
         # Re-gate the compiled kernels on *this* environment: a snapshot
         # from a fastcore build restores cleanly where the extension is
         # absent (and vice versa) — results are bit-identical either way.

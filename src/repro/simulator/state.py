@@ -32,11 +32,15 @@ Incremental scheduling support lives here too:
 
 Multi-tier topologies (see :mod:`repro.simulator.topology`) plug in here:
 a :class:`ClusterState` built with a topology that has core links runs in
-*path-aware* mode — :meth:`ClusterState.make_ledger` returns a
-:class:`~repro.simulator.topology.LinkLedger`, and
-:meth:`ClusterState.link_counts` projects the flow-group compaction onto
-whole link paths for admission and equal-rate assignment. The big-switch
-default (``topology=None``) is untouched by construction.
+*path-aware* mode — each flow's path is resolved once, when its coflow
+activates, into the table's ``link_a`` / ``link_b`` columns;
+:meth:`ClusterState.make_ledger` returns a
+:class:`~repro.simulator.topology.LinkLedger`; and
+:meth:`ClusterState.port_counts` projects the flow-group compaction onto
+whole link paths for admission and equal-rate assignment. The row-form
+allocators read the link columns, so engine-driven rounds run on table
+rows (and the compiled kernels) on either fabric. The big-switch default
+(``topology=None``) keeps every link column at ``-1``.
 """
 
 from __future__ import annotations
@@ -44,6 +48,7 @@ from __future__ import annotations
 from array import array
 from dataclasses import dataclass, field
 
+from ..errors import ConfigError
 from .fabric import Fabric, PortLedger
 from .flows import CoFlow, Flow
 from .topology import LinkLedger, PathMap, Topology
@@ -78,12 +83,20 @@ class FlowTable:
     it indexed the former plain lists. ``finish_time`` / ``start_time``
     keep ``None`` sentinels ("not finished/started yet") and therefore
     stay object lists, as does ``view``.
+
+    **Core-link columns.** ``link_a`` / ``link_b`` hold the core links a
+    flow's path crosses beyond its two host ports, ``-1`` meaning "no
+    link"; ``link_b >= 0`` implies ``link_a >= 0``. Two columns suffice
+    because a leaf-spine path crosses at most one uplink and one downlink.
+    Rows start at ``(-1, -1)`` — the big-switch path ``(src, dst)`` — and
+    :class:`ClusterState` fills them from its :class:`PathMap`, so every
+    row-form allocator walks ``src, dst, link_a, link_b`` on either fabric.
     """
 
     __slots__ = (
-        "flow_id", "coflow_id", "src", "dst", "volume", "bytes_sent",
-        "rate", "finish_time", "start_time", "available_time", "pos",
-        "epoch", "view", "row_of", "_free", "fastcore",
+        "flow_id", "coflow_id", "src", "dst", "link_a", "link_b", "volume",
+        "bytes_sent", "rate", "finish_time", "start_time", "available_time",
+        "pos", "epoch", "view", "row_of", "_free", "fastcore",
     )
 
     def __init__(self) -> None:
@@ -91,6 +104,8 @@ class FlowTable:
         self.coflow_id: array = array("q")
         self.src: array = array("q")
         self.dst: array = array("q")
+        self.link_a: array = array("q")
+        self.link_b: array = array("q")
         self.volume: array = array("d")
         self.bytes_sent: array = array("d")
         self.rate: array = array("d")
@@ -137,6 +152,8 @@ class FlowTable:
             self.coflow_id[i] = flow.coflow_id
             self.src[i] = flow.src
             self.dst[i] = flow._dst
+            self.link_a[i] = -1
+            self.link_b[i] = -1
             self.volume[i] = flow.volume
             self.bytes_sent[i] = flow._bytes_sent
             self.rate[i] = flow._rate
@@ -152,6 +169,8 @@ class FlowTable:
             self.coflow_id.append(flow.coflow_id)
             self.src.append(flow.src)
             self.dst.append(flow._dst)
+            self.link_a.append(-1)
+            self.link_b.append(-1)
             self.volume.append(flow.volume)
             self.bytes_sent.append(flow._bytes_sent)
             self.rate.append(flow._rate)
@@ -166,6 +185,17 @@ class FlowTable:
         flow._tbl = self
         flow._row = i
         return i
+
+    def set_links(self, row: int, links: tuple[int, ...]) -> None:
+        """Record the core links of ``row``'s path (``()`` = none)."""
+        n = len(links)
+        if n > 2:
+            raise ConfigError(
+                f"flow path crosses {n} core links {links}; the flow table "
+                f"holds at most two per flow (link_a, link_b)"
+            )
+        self.link_a[row] = links[0] if n else -1
+        self.link_b[row] = links[1] if n == 2 else -1
 
     def evict(self, row: int) -> None:
         """Detach the flow at ``row``, copying state back into the view."""
@@ -262,8 +292,8 @@ class ClusterState:
     table: FlowTable = field(default_factory=FlowTable)
     #: Fabric topology (``None`` = the classic big switch). A topology
     #: with core links switches the state into *path-aware* mode: ledgers
-    #: become :class:`~repro.simulator.topology.LinkLedger`\ s and the
-    #: schedulers route contention/admission through link paths.
+    #: become :class:`~repro.simulator.topology.LinkLedger`\ s and flow
+    #: paths fill the table's core-link columns at activation.
     topology: Topology | None = None
     #: Per-run path assignment (built automatically from ``topology`` when
     #: it has core links; ``None`` on the big-switch default).
@@ -317,9 +347,9 @@ class ClusterState:
     def path_aware(self) -> bool:
         """True when the topology has core links, i.e. flow paths matter.
 
-        Schedulers must then route admission and rate assignment through
-        the path-aware allocator twins; on the big-switch default this is
-        False and every classic code path runs unchanged.
+        Table-tracked rounds need no branch on it (the row allocators read
+        the core-link columns); only hand-built states, which run on the
+        object path, must then use the ``*_paths`` allocator forms.
         """
         return self.paths is not None
 
@@ -452,16 +482,20 @@ class ClusterState:
         return bound
 
     def port_counts(self, coflow: CoFlow, now: float) -> dict[int, int] | None:
-        """Per-port pending-flow counts, when exact for the schedulable set.
+        """Per-link pending-flow counts, when exact for the schedulable set.
 
-        Returns ``{port: count}`` over the coflow's pending flows — the
+        Returns ``{link: count}`` over the coflow's pending flows — the
         counts :func:`~repro.simulator.ratealloc.equal_rate_for_coflow` and
         all-or-none admission would otherwise rebuild per round — or
         ``None`` when some pending flow is still unavailable at ``now`` (the
         schedulable set is then a strict subset and callers must recount).
+        The links are the host ports, plus every core link of the flows'
+        paths on a path-aware state.
         """
         if self.respect_availability and self.max_available_time(coflow) > now:
             return None
+        if self.paths is not None:
+            return self._pending_link_counts(coflow)
         return self.pending_port_counts(coflow)
 
     def pending_port_counts(self, coflow: CoFlow) -> dict[int, int]:
@@ -505,9 +539,8 @@ class ClusterState:
         incrementally from completion notifications. Only valid in
         path-aware mode (``paths`` must be set).
         """
-        paths = self.paths
-        extra_links = paths.extra_links
         if self.respect_availability and self.max_available_time(coflow) > now:
+            extra_links = self.paths.extra_links
             counts: dict[int, int] = {}
             get = counts.get
             if flows is None:
@@ -519,6 +552,12 @@ class ClusterState:
                 for link in extra_links(src, dst):
                     counts[link] = get(link, 0) + 1
             return counts
+        return self._pending_link_counts(coflow)
+
+    def _pending_link_counts(self, coflow: CoFlow) -> dict[int, int]:
+        """Per-link pending-flow counts over whole paths (cached; kept
+        exact by completion notifications, dropped after dynamics)."""
+        extra_links = self.paths.extra_links
         cached = self._link_counts.get(coflow.coflow_id)
         if cached is None:
             cached = {}
@@ -627,16 +666,44 @@ class ClusterState:
     def note_activated(self, coflow: CoFlow) -> None:
         """A coflow joined ``active_coflows`` (arrival or DAG release).
 
-        Adopts the coflow's flows into the flow table and builds the exact
-        pending-row cache.
+        Adopts the coflow's flows into the flow table, builds the exact
+        pending-row cache and, on a path-aware state, resolves every
+        pending flow's path into the table's core-link columns. Resolving
+        here, in activation order, makes stateful selectors
+        (``least-loaded``) assign the same paths under every policy.
         """
         self._by_id[coflow.coflow_id] = coflow
         rows = self.table.adopt_coflow(coflow)
         ft = self.table.finish_time
-        self._pending_rows[coflow.coflow_id] = [
-            i for i in rows if ft[i] is None
-        ]
+        pending = [i for i in rows if ft[i] is None]
+        self._pending_rows[coflow.coflow_id] = pending
+        self._resolve_links(pending)
         self.delta.arrived.add(coflow.coflow_id)
+
+    def restore_link_columns(self) -> None:
+        """Add the core-link columns to a flow table unpickled from a
+        checkpoint that predates them, resolving the pending rows' paths
+        (a no-op on current tables)."""
+        t = self.table
+        if hasattr(t, "link_a"):
+            return
+        t.link_a = array("q", [-1]) * t.capacity
+        t.link_b = array("q", [-1]) * t.capacity
+        for rows in self._pending_rows.values():
+            self._resolve_links(rows)
+
+    def _resolve_links(self, rows: list[int]) -> None:
+        """Fill the core-link columns of ``rows`` from the path map (no-op
+        on a big switch, whose rows keep ``-1``)."""
+        paths = self.paths
+        if paths is None:
+            return
+        t = self.table
+        src, dst = t.src, t.dst
+        extra_links = paths.extra_links
+        set_links = t.set_links
+        for i in rows:
+            set_links(i, extra_links(src[i], dst[i]))
 
     def note_flow_finished(self, flow: Flow) -> None:
         """One flow of an active coflow completed."""
@@ -731,7 +798,8 @@ class ClusterState:
         but the cached ledger is dropped in case capacities changed, and
         the flow-group compaction caches are dropped in case a restart
         moved a flow to a new receiver port (``available_time`` is static,
-        so the availability bounds survive).
+        so the availability bounds survive). For the same reason the
+        pending rows' core-link columns are re-resolved.
         """
         self.delta.mark_full()
         self._cached_ledger = None
@@ -740,3 +808,6 @@ class ClusterState:
         self._link_counts.clear()
         self._group_rows.clear()
         self._groups.clear()
+        if self.paths is not None:
+            for rows in self._pending_rows.values():
+                self._resolve_links(rows)

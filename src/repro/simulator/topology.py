@@ -308,7 +308,10 @@ class PathMap:
     the selector's choice per pair (a pair's path is stable for the whole
     run, like a real fabric's per-connection ECMP hash) and carries the
     selector's state (the least-loaded counters). One map belongs to one
-    simulation — sharing it across runs would leak selector state.
+    simulation — sharing it across runs would leak selector state. An
+    engine-driven :class:`~repro.simulator.state.ClusterState` queries
+    each pending flow's pair when its coflow activates, so stateful
+    selectors see pairs in activation order whatever the policy.
 
     Selectors:
 
@@ -398,9 +401,10 @@ class LinkLedger(PortLedger):
     the host ports plus the core links the attached :class:`PathMap`
     assigns to the ``(src, dst)`` pair. Schedulers and allocators that go
     through these primitives therefore see the true bottleneck link with
-    no topology knowledge; the path-aware allocator twins in
-    :mod:`repro.simulator.ratealloc` additionally read the dense lists
-    directly for their fill loops.
+    no topology knowledge; the row-form allocators in
+    :mod:`repro.simulator.ratealloc` (and their compiled twins) replay the
+    same arithmetic directly on the dense lists, reading each flow's core
+    links from the flow table's ``link_a`` / ``link_b`` columns.
     """
 
     __slots__ = ("_topology", "_paths")

@@ -15,9 +15,10 @@ availability. For every registered scheduler the engine paths —
   ``restore()`` and run the revived session to completion),
 * ``leaf-spine`` (every 5th seed: the same workload on a *single-rack*
   :class:`~repro.simulator.topology.LeafSpineTopology` — core links exist,
-  so every scheduler takes its path-aware branch and allocates through a
+  so every scheduler allocates through a
   :class:`~repro.simulator.topology.LinkLedger`, but no path crosses a
-  core link, so the results must not move a bit),
+  core link, so the results must not move a bit; multi-rack runs are
+  pinned by ``tests/test_golden_leafspine.py``),
 * ``no-fastcore`` (the compiled :mod:`repro._fastcore` kernels forced
   off — when the extension is built the other paths run the C twins, so
   this leg pins compiled-vs-Python **bitwise**; when it is not built,
@@ -35,6 +36,12 @@ fuzz with a big-switch path map: on paths with no core links they must be
 bit-identical to the port-only forms. The ``*-fastcore`` variants run the
 same trials with ``table.fastcore`` set, routing the row forms through the
 compiled kernels — they skip cleanly when the extension is not built.
+
+A third fuzz runs the row forms on *multi-rack* path maps, whose core
+links (filled into the table's ``link_a`` / ``link_b`` columns) saturate:
+row form against the ``*_paths`` object twin over a
+:class:`~repro.simulator.topology.LinkLedger`, in Python and through the
+compiled kernels, including the link a capacity violation names.
 """
 
 from __future__ import annotations
@@ -46,6 +53,7 @@ import pytest
 
 from repro import _fastcore
 from repro.config import SimulationConfig
+from repro.errors import CapacityViolationError
 from repro.schedulers.registry import available_policies, make_scheduler
 from repro.simulator.engine import run_policy, run_scenario
 from repro.simulator.fabric import Fabric, PortLedger
@@ -66,7 +74,13 @@ from repro.simulator.ratealloc import (
     max_min_fair_rows,
 )
 from repro.simulator.state import FlowTable
-from repro.simulator.topology import BigSwitchTopology, LeafSpineTopology, PathMap
+from repro.simulator.topology import (
+    PATH_SELECTORS,
+    BigSwitchTopology,
+    LeafSpineTopology,
+    LinkLedger,
+    PathMap,
+)
 
 NUM_WORKLOADS = 20
 
@@ -143,8 +157,8 @@ def assert_engine_paths_identical(policy, fabric, coflows, seed, *,
 
     Always: epochs / no-epochs / no-incremental / no-fastcore / stream.
     With ``deep_paths`` (deep copies are not free, so callers sample):
-    also snapshot-resume and the single-rack leaf-spine topology (which
-    exercises the :class:`LinkLedger` fallback of the fastcore dispatch).
+    also snapshot-resume and the single-rack leaf-spine topology (row
+    forms and compiled kernels over a :class:`LinkLedger`).
     """
     prints = {}
     for path_name, cfg_kw in ENGINE_PATHS:
@@ -178,8 +192,8 @@ def assert_engine_paths_identical(policy, fabric, coflows, seed, *,
             SimulationSession.restore(snap).run()
         )
         # Sixth path: a single-rack leaf-spine topology. Core links
-        # exist (path-aware machinery fully engaged: LinkLedger,
-        # link counts, *_paths allocators) but every flow is
+        # exist (path-aware machinery fully engaged: LinkLedger, link
+        # counts, path resolution at activation) but every flow is
         # rack-local, so nothing may change byte-for-byte.
         prints["leaf-spine"] = fingerprint(run_policy(
             make_scheduler(policy, cfg), clone_coflows(coflows),
@@ -341,3 +355,107 @@ def test_row_allocators_match_object_allocators(allocator):
         )
         for fid, rate in got.items():
             assert math.isfinite(rate)
+
+
+def _attach_paths(table, rows, paths: PathMap) -> None:
+    """Fill the table's core-link columns from ``paths``, as the cluster
+    state does at activation."""
+    for i in rows:
+        table.set_links(i, paths.extra_links(table.src[i], table.dst[i]))
+
+
+@pytest.mark.parametrize("fastcore", [False, True],
+                         ids=["python", "fastcore"])
+@pytest.mark.parametrize("allocator", ["mmf", "madd", "equal", "greedy"])
+def test_row_allocators_match_paths_on_core_links(allocator, fastcore):
+    """Row forms walk ``src, dst, link_a, link_b`` exactly like the
+    ``*_paths`` object twins walk a pair's path: same rates, same residual
+    ledger on every link, on a four-rack 4:1 leaf-spine whose uplinks and
+    downlinks (a quarter of a rack's port bandwidth per spine) are the
+    usual bottleneck. ``fastcore`` routes the row forms through the
+    compiled kernels, so C is pinned against the Python object forms."""
+    if fastcore and not _fastcore.AVAILABLE:
+        pytest.skip("repro._fastcore extension not built")
+    rng = random.Random(4242)
+    machines = 8
+    fabric = Fabric(num_machines=machines, port_rate=1e6)
+    topo = LeafSpineTopology(fabric, racks=4, spines=2, oversub=4.0)
+    coflow_stub = CoFlow(coflow_id=1, arrival_time=0.0, flows=[])
+    saw_core_bottleneck = False
+    for trial in range(150):
+        paths = PathMap(topo, rng.choice(PATH_SELECTORS))
+        flows, table, rows = _random_attached_flows(rng, machines)
+        _attach_paths(table, rows, paths)
+        table.fastcore = fastcore
+        obj_ledger = LinkLedger(topo, paths)
+        row_ledger = LinkLedger(topo, paths)
+        # Pre-commit random cross-rack load so core residuals differ.
+        for _ in range(rng.randrange(0, 4)):
+            src = rng.randrange(machines)
+            dst = machines + (src + 2 * rng.randrange(1, 4)) % machines
+            obj_ledger.commit(src, dst, 5e4)
+            row_ledger.commit(src, dst, 5e4)
+
+        if allocator == "mmf":
+            cap = rng.choice([None, None, 0.0, 1e3, 2e9])
+            expected = max_min_fair_paths(flows, paths, obj_ledger,
+                                          rate_cap=cap)
+            got = max_min_fair_rows(rows, table, row_ledger, rate_cap=cap)
+        elif allocator == "madd":
+            expected = madd_rates_paths(coflow_stub, obj_ledger, paths,
+                                        flows=flows)
+            got = madd_rates_rows(rows, table, row_ledger)
+        elif allocator == "equal":
+            expected = equal_rate_for_coflow_paths(
+                coflow_stub, obj_ledger, paths, flows=flows
+            )
+            got = equal_rate_for_coflow_rows(rows, table, row_ledger)
+        else:
+            expected = greedy_residual_rates(flows, obj_ledger)
+            got = greedy_residual_rates_rows(rows, table, row_ledger)
+
+        assert got == expected, f"{allocator} diverged at trial {trial}"
+        assert (row_ledger.snapshot_residuals()
+                == obj_ledger.snapshot_residuals()), (
+            f"{allocator} ledger state diverged at trial {trial}"
+        )
+        saw_core_bottleneck |= any(
+            row_ledger.residual(link) <= 0 for link in topo.core_links()
+        )
+    assert saw_core_bottleneck  # the fuzz really saturates core links
+
+
+@pytest.mark.parametrize("fastcore", [False, True],
+                         ids=["python", "fastcore"])
+def test_capacity_violation_names_the_same_link_in_every_form(fastcore):
+    """Stale per-link counts (every count 1) make the equal rate
+    overcommit the coflow's bottleneck. Each form commits link by link in
+    path order (sender, receiver, core links), so the error names the
+    same link, with the same figures, in the object, row and C forms."""
+    if fastcore and not _fastcore.AVAILABLE:
+        pytest.skip("repro._fastcore extension not built")
+    fabric = Fabric(num_machines=4, port_rate=100.0)
+    topo = LeafSpineTopology(fabric, racks=2, spines=1, oversub=4.0)
+    paths = PathMap(topo)
+    # Two flows from rack 0 to rack 1 share the uplink (50 B/s): the
+    # receivers and senders are distinct, so the uplink overflows first.
+    flows = [Flow(flow_id=0, coflow_id=1, src=0, dst=4 + 2, volume=1e3),
+             Flow(flow_id=1, coflow_id=1, src=1, dst=4 + 3, volume=1e3)]
+    table = FlowTable()
+    rows = [table.adopt(f, pos) for pos, f in enumerate(flows)]
+    _attach_paths(table, rows, paths)
+    table.fastcore = fastcore
+    stale = {link: 1 for f in flows
+             for link in (f.src, f.dst, *paths.extra_links(f.src, f.dst))}
+    coflow_stub = CoFlow(coflow_id=1, arrival_time=0.0, flows=[])
+    with pytest.raises(CapacityViolationError) as obj_err:
+        equal_rate_for_coflow_paths(coflow_stub, LinkLedger(topo, paths),
+                                    paths, flows=flows, link_counts=stale)
+    with pytest.raises(CapacityViolationError) as row_err:
+        equal_rate_for_coflow_rows(rows, table, LinkLedger(topo, paths),
+                                   port_counts=stale)
+    uplink = str(topo.uplink(0, 0))
+    assert obj_err.value.port == uplink
+    assert (row_err.value.port, row_err.value.allocated,
+            row_err.value.capacity) == (
+        obj_err.value.port, obj_err.value.allocated, obj_err.value.capacity)

@@ -482,6 +482,61 @@ def test_snapshot_resume_on_leaf_spine_topology():
     assert _fingerprint(session.run()) == reference
 
 
+def test_restore_adds_link_columns_to_older_checkpoints():
+    """A checkpoint whose flow table predates the core-link columns
+    restores with them rebuilt from its path map and resumes
+    byte-identically."""
+    from repro.simulator.scenario import Scenario
+    from repro.simulator.session import SimulationSession
+
+    fabric, coflows = _small_workload()
+    cfg = SimulationConfig(sync_interval=8e-3)
+    topo = LeafSpineTopology(fabric, racks=4, spines=2, oversub=4.0)
+
+    def session():
+        return SimulationSession(
+            fabric, make_scheduler("saath", cfg), cfg,
+            scenario=Scenario.from_coflows(clone_coflows(coflows)),
+            topology=topo,
+        )
+
+    reference = _fingerprint(session().run())
+    donor = session()
+    donor.run_until(0.5)
+    snap = donor.snapshot()
+    table = snap.payload["state"].table
+    assert max(table.link_a) >= 0  # some live flow crosses the core
+    del table.link_a, table.link_b
+    assert _fingerprint(SimulationSession.restore(snap).run()) == reference
+
+
+def test_least_loaded_paths_do_not_depend_on_the_policy():
+    """Paths are resolved when a coflow activates, in activation order,
+    so the stateful least-loaded selector hands every policy the same
+    fabric, not one shaped by the scheduler's query order."""
+    from repro.simulator.scenario import Scenario
+    from repro.simulator.session import SimulationSession
+
+    fabric, coflows = _small_workload(machines=16, coflows=30)
+    cfg = SimulationConfig(sync_interval=8e-3)
+    assigned = {}
+    for policy in available_policies():
+        session = SimulationSession(
+            fabric, make_scheduler(policy, cfg), cfg,
+            scenario=Scenario.from_coflows(clone_coflows(coflows)),
+            topology=LeafSpineTopology(fabric, racks=4, spines=2,
+                                       oversub=4.0,
+                                       path_select="least-loaded"),
+        )
+        session.run()
+        assigned[policy] = session.state.paths.assigned_pairs()
+    reference = assigned["saath"]
+    assert any(reference.values())  # some pair crosses the core
+    assert all(pairs == reference for pairs in assigned.values()), sorted(
+        p for p, pairs in assigned.items() if pairs != reference
+    )
+
+
 def test_leaf_spine_sweep_spec_runs_through_runner():
     """RunSpec.topology reaches the worker entry point (decode + build)."""
     from repro.experiments.runner import execute_spec
