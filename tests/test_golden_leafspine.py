@@ -50,6 +50,30 @@ def _dag_trace():
     return fabric, [c for job in jobs for c in job]
 
 
+def digest(result) -> str:
+    """SHA-256 of a result's CCT bits, completion order, reschedule count
+    and makespan."""
+    body = repr((
+        sorted((cid, cct.hex()) for cid, cct in result.ccts().items()),
+        [c.coflow_id for c in result.coflows],
+        result.reschedules,
+        result.makespan.hex(),
+    ))
+    return hashlib.sha256(body.encode()).hexdigest()
+
+
+def write_fixture(fixture: Path, names, run_cell, usage: str) -> None:
+    """The ``--write`` entry point: regenerate ``fixture`` from every cell's
+    pure-Python run."""
+    if sys.argv[1:] != ["--write"]:
+        sys.exit(usage)
+    fixture.write_text(json.dumps(
+        {name: run_cell(name, fastcore=False) for name in names},
+        indent=1, sort_keys=True,
+    ) + "\n")
+    print(f"wrote {fixture}")
+
+
 def cells() -> list[str]:
     """Cell names: ``<trace>/<selector>/<policy>``."""
     names = [f"fb/{sel}/{p}" for sel in SELECTORS
@@ -59,22 +83,15 @@ def cells() -> list[str]:
 
 
 def run_cell(name: str, *, fastcore: bool) -> str:
-    """SHA-256 of one cell's CCT bits, completion order, reschedule count
-    and makespan."""
+    """The :func:`digest` of one cell's run."""
     trace, selector, policy = name.split("/")
     fabric, coflows = _fb_trace() if trace == "fb" else _dag_trace()
     topology = LeafSpineTopology(fabric, racks=4, spines=2, oversub=4.0,
                                  path_select=selector)
     cfg = SimulationConfig(sync_interval=8e-3, fastcore=fastcore)
-    result = run_policy(make_scheduler(policy, cfg), clone_coflows(coflows),
-                        fabric, cfg, topology=topology)
-    body = repr((
-        sorted((cid, cct.hex()) for cid, cct in result.ccts().items()),
-        [c.coflow_id for c in result.coflows],
-        result.reschedules,
-        result.makespan.hex(),
-    ))
-    return hashlib.sha256(body.encode()).hexdigest()
+    return digest(run_policy(make_scheduler(policy, cfg),
+                             clone_coflows(coflows), fabric, cfg,
+                             topology=topology))
 
 
 @pytest.fixture(scope="module")
@@ -94,10 +111,4 @@ def test_leafspine_cell_matches_golden(name, golden):
 
 
 if __name__ == "__main__":
-    if sys.argv[1:] != ["--write"]:
-        sys.exit(__doc__)
-    FIXTURE.write_text(json.dumps(
-        {name: run_cell(name, fastcore=False) for name in cells()},
-        indent=1, sort_keys=True,
-    ) + "\n")
-    print(f"wrote {FIXTURE}")
+    write_fixture(FIXTURE, cells(), run_cell, __doc__)
