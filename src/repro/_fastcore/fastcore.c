@@ -221,68 +221,42 @@ commit_path(double *lcap, double *lused, PyObject *touched,
     return 0;
 }
 
-/* Materialise the running set (row-keyed dict under epochs, row list on
- * the legacy engine) as parallel (key object, row index) arrays.  Key
- * references are borrowed: from the dict entries, or from an owned fast
- * sequence returned via *fast_out (caller decrefs it after use).  Rows
- * are bounds-checked against cap. */
+/* Materialise the running set (a row-keyed dict) as parallel (key object,
+ * row index) arrays.  Key references are borrowed from the dict entries.
+ * Rows are bounds-checked against cap. */
 static Py_ssize_t
 gather_rows(PyObject *running, Py_ssize_t cap,
-            PyObject ***keys_out, Py_ssize_t **rows_out, PyObject **fast_out)
+            PyObject ***keys_out, Py_ssize_t **rows_out)
 {
-    PyObject **keys = NULL;
-    Py_ssize_t *rows = NULL;
-    PyObject *fast = NULL;
-    Py_ssize_t n;
-
-    if (PyDict_Check(running)) {
-        n = PyDict_GET_SIZE(running);
-        keys = PyMem_New(PyObject *, n > 0 ? n : 1);
-        rows = PyMem_New(Py_ssize_t, n > 0 ? n : 1);
-        if (keys == NULL || rows == NULL)
-            goto nomem;
-        Py_ssize_t pos = 0, k = 0;
-        PyObject *key, *val;
-        while (PyDict_Next(running, &pos, &key, &val)) {
-            Py_ssize_t i = as_row(key, cap, "running");
-            if (i < 0)
-                goto fail;
-            keys[k] = key;
-            rows[k] = i;
-            k++;
-        }
-        n = k;
+    if (!PyDict_Check(running)) {
+        PyErr_SetString(PyExc_TypeError,
+                        "fastcore: running set must be a dict");
+        return -1;
     }
-    else {
-        fast = PySequence_Fast(running, "fastcore: running set must be a "
-                                        "dict or a sequence of rows");
-        if (fast == NULL)
+    Py_ssize_t n = PyDict_GET_SIZE(running);
+    PyObject **keys = PyMem_New(PyObject *, n > 0 ? n : 1);
+    Py_ssize_t *rows = PyMem_New(Py_ssize_t, n > 0 ? n : 1);
+    if (keys == NULL || rows == NULL) {
+        PyErr_NoMemory();
+        goto fail;
+    }
+    Py_ssize_t pos = 0, k = 0;
+    PyObject *key, *val;
+    while (PyDict_Next(running, &pos, &key, &val)) {
+        Py_ssize_t i = as_row(key, cap, "running");
+        if (i < 0)
             goto fail;
-        n = PySequence_Fast_GET_SIZE(fast);
-        PyObject **items = PySequence_Fast_ITEMS(fast);
-        keys = PyMem_New(PyObject *, n > 0 ? n : 1);
-        rows = PyMem_New(Py_ssize_t, n > 0 ? n : 1);
-        if (keys == NULL || rows == NULL)
-            goto nomem;
-        for (Py_ssize_t k = 0; k < n; k++) {
-            Py_ssize_t i = as_row(items[k], cap, "running");
-            if (i < 0)
-                goto fail;
-            keys[k] = items[k];
-            rows[k] = i;
-        }
+        keys[k] = key;
+        rows[k] = i;
+        k++;
     }
     *keys_out = keys;
     *rows_out = rows;
-    *fast_out = fast;
-    return n;
+    return k;
 
-nomem:
-    PyErr_NoMemory();
 fail:
     PyMem_Free(keys);
     PyMem_Free(rows);
-    Py_XDECREF(fast);
     return -1;
 }
 
@@ -1067,8 +1041,7 @@ advance_running(PyObject *self, PyObject *args)
 
     PyObject **keys;
     Py_ssize_t *rows;
-    PyObject *fast;
-    Py_ssize_t n = gather_rows(running, ncols, &keys, &rows, &fast);
+    Py_ssize_t n = gather_rows(running, ncols, &keys, &rows);
     if (n < 0) {
         bufs_release(&B);
         return NULL;
@@ -1081,7 +1054,6 @@ advance_running(PyObject *self, PyObject *args)
     }
     PyMem_Free(keys);
     PyMem_Free(rows);
-    Py_XDECREF(fast);
     bufs_release(&B);
     Py_RETURN_NONE;
 }
@@ -1119,8 +1091,7 @@ advance_collect(PyObject *self, PyObject *args)
 
     PyObject **keys;
     Py_ssize_t *rows;
-    PyObject *fast;
-    Py_ssize_t n = gather_rows(running, ncols, &keys, &rows, &fast);
+    Py_ssize_t n = gather_rows(running, ncols, &keys, &rows);
     if (n < 0) {
         bufs_release(&B);
         return NULL;
@@ -1146,7 +1117,6 @@ advance_collect(PyObject *self, PyObject *args)
     }
     PyMem_Free(keys);
     PyMem_Free(rows);
-    Py_XDECREF(fast);
     bufs_release(&B);
     if (err)
         return NULL;
@@ -1185,8 +1155,7 @@ scan_candidates(PyObject *self, PyObject *args)
 
     PyObject **keys;
     Py_ssize_t *rows;
-    PyObject *fast;
-    Py_ssize_t n = gather_rows(running, ncols, &keys, &rows, &fast);
+    Py_ssize_t n = gather_rows(running, ncols, &keys, &rows);
     if (n < 0) {
         bufs_release(&B);
         return NULL;
@@ -1210,7 +1179,6 @@ scan_candidates(PyObject *self, PyObject *args)
 done:
     PyMem_Free(keys);
     PyMem_Free(rows);
-    Py_XDECREF(fast);
     bufs_release(&B);
     return raw;
 }
@@ -1251,8 +1219,7 @@ scan_completions(PyObject *self, PyObject *args)
 
     PyObject **keys;
     Py_ssize_t *rows;
-    PyObject *fast;
-    Py_ssize_t n = gather_rows(running, ncols, &keys, &rows, &fast);
+    Py_ssize_t n = gather_rows(running, ncols, &keys, &rows);
     if (n < 0) {
         bufs_release(&B);
         return NULL;
@@ -1306,7 +1273,6 @@ scan_completions(PyObject *self, PyObject *args)
 done:
     PyMem_Free(keys);
     PyMem_Free(rows);
-    Py_XDECREF(fast);
     bufs_release(&B);
     return result;
 }
@@ -1738,8 +1704,8 @@ apply_diff(PyObject *self, PyObject *args)
     if (PyErr_Occurred())
         goto done;
 
-    /* ---- snapshot availability-gated flows (legacy order: built before
-     *      the changed pass mutates `gated`) --------------------------- */
+    /* ---- snapshot availability-gated flows (taken before the changed
+     *      pass mutates `gated`, as in the Python twin) ---------------- */
     if (PyDict_GET_SIZE(gated) > 0) {
         Py_ssize_t ng = PyDict_GET_SIZE(gated);
         gated_pairs = PyMem_New(PyObject *, 2 * ng);

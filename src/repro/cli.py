@@ -185,10 +185,7 @@ def _build_parser() -> argparse.ArgumentParser:
     simulate.add_argument("--seed", type=int, default=7)
     simulate.add_argument("--sync-interval-ms", type=float, default=0.0)
     simulate.add_argument("--no-incremental", action="store_true",
-                          help="use the full-recompute scheduling path "
-                               "(slower; results are identical)")
-    simulate.add_argument("--no-epochs", action="store_true",
-                          help="disable the engine's allocation-epoch path "
+                          help="run the full-recompute reference oracle "
                                "(slower; results are identical)")
     simulate.add_argument("--no-fastcore", action="store_true",
                           help="disable the compiled C hot-loop kernels "
@@ -242,7 +239,6 @@ def _build_parser() -> argparse.ArgumentParser:
     sweep.add_argument("--jobs", type=int, default=None)
     sweep.add_argument("--cache-dir", type=Path, default=None)
     sweep.add_argument("--no-incremental", action="store_true")
-    sweep.add_argument("--no-epochs", action="store_true")
     sweep.add_argument("--no-fastcore", action="store_true")
     sweep.add_argument("--retries", type=int, default=None,
                        help="max attempts per run before it is reported as "
@@ -278,7 +274,6 @@ def _cmd_sweep(args: argparse.Namespace) -> str:
     config = SimulationConfig(
         sync_interval=args.sync_interval_ms * MSEC,
         incremental=not args.no_incremental,
-        epochs=not args.no_epochs,
         fastcore=not args.no_fastcore,
     )
     retry = None
@@ -436,7 +431,6 @@ def _cmd_simulate(args: argparse.Namespace) -> str:
     config = SimulationConfig(
         sync_interval=args.sync_interval_ms * MSEC,
         incremental=not args.no_incremental,
-        epochs=not args.no_epochs,
         fastcore=not args.no_fastcore,
     )
     if args.trace is not None:

@@ -143,17 +143,13 @@ class SimulationConfig:
     * ``incremental`` — maintain scheduler bookkeeping (queue placement,
       contention counts, residual-capacity ledgers) incrementally from the
       per-event :class:`~repro.simulator.state.SchedulingDelta` instead of
-      rebuilding it from scratch every round. The two paths are exactly
-      equivalent (asserted by the equivalence test-suite); ``False``
-      restores the original full-recompute path (CLI ``--no-incremental``).
-    * ``epochs`` — run the engine's allocation lifecycle in *epochs*: apply
-      allocations as rate diffs against the previous round (touching only
-      flows whose rate changed), find the next completion through a lazy
-      min-heap instead of scanning every running flow per event, and let
-      rate allocators consume the cluster state's per-coflow port-count
-      caches. Exactly equivalent to the per-event full recompute (asserted
-      by the equivalence suite); ``False`` restores the pre-epoch engine
-      (CLI ``--no-epochs``).
+      rebuilding it from scratch every round, and let the engine apply each
+      allocation as a rate diff against the previous one, finding the next
+      completion through a lazy heap. ``False`` (CLI ``--no-incremental``)
+      is the reference oracle: full scheduler recompute, every allocation
+      applied in full, and a scan of every running flow for the next
+      completion. The two paths are exactly equivalent (asserted by the
+      equivalence test-suite).
     * ``fastcore`` — use the compiled C twins of the hot loops
       (:mod:`repro._fastcore`) when the extension is built. Bit-identical
       to the pure-Python rows path (asserted by the fuzz firewall);
@@ -175,7 +171,6 @@ class SimulationConfig:
     epsilon_bytes: float = 1e-6
     max_sim_time: float = 1e7
     incremental: bool = True
-    epochs: bool = True
     fastcore: bool = True
     validate_incremental: bool = False
 

@@ -114,11 +114,6 @@ class SaathScheduler(Scheduler):
         ledger = self._round_ledger(state)
         allocation = Allocation()
 
-        #: Flow-group compaction: per-link pending counts replace the
-        #: per-flow recount in admission and D2 rate assignment whenever
-        #: they exactly describe the schedulable set.
-        use_counts = self.config.epochs
-
         if state.rows_tracked():
             # Row path on either fabric: admission, D2 rates and work
             # conservation all walk table rows over each flow's whole link
@@ -132,8 +127,11 @@ class SaathScheduler(Scheduler):
                 rows = state.schedulable_rows(coflow, now)
                 if not rows:
                     continue
-                counts = (state.port_counts(coflow, now)
-                          if use_counts else None)
+                # Flow-group compaction: per-link pending counts replace
+                # the per-flow recount in admission and D2 rate assignment
+                # whenever they exactly describe the schedulable set
+                # (None while data availability gates some flows).
+                counts = state.port_counts(coflow, now)
                 if self._admissible_rows(rows, table, ledger, counts):
                     rates = equal_rate_for_coflow_rows(
                         rows, table, ledger, port_counts=counts
@@ -164,8 +162,7 @@ class SaathScheduler(Scheduler):
             if paths is not None:
                 counts = state.link_counts(coflow, now, flows=flows)
             else:
-                counts = (state.port_counts(coflow, now)
-                          if use_counts else None)
+                counts = state.port_counts(coflow, now)
             if self._all_or_none_admissible(flows, ledger, counts):
                 if paths is not None:
                     rates = equal_rate_for_coflow_paths(

@@ -55,23 +55,29 @@ object-facing edges (scheduler callbacks, results, dynamics). The running
 set is a row-keyed insertion-ordered dict, the completion heap carries rows,
 and the per-flow allocation epoch is a table column.
 
-**Allocation epochs (``config.epochs``).** Each applied allocation opens an
-*epoch*: the session keeps the previous round's raw ``flow_id → rate`` map
-and applies the next allocation as a diff, touching only flows whose rate
-changed (C-level dict-view set operations find the changed entries), while
-the running set and its per-coflow counts are maintained in place instead of
-being rebuilt from every pending flow. Completion lookout uses a lazy
-min-heap keyed by ``(predicted finish lower bound, epoch, row)``: entries
-from superseded epochs are popped and discarded lazily, and each event pops
-only the entries whose lower bound could beat the provisional minimum — for
-those few flows the exact per-event arithmetic of the full scan is
-replayed, so the chosen instant is bit-identical to the scan's (see
-:meth:`SimulationSession._heap_completion` for the monotonicity argument).
-When a round churns most rates (UC-TCP recomputes global fair shares every
-event), the heap would cost more than it saves, so the session falls back
-to the plain scan until churn subsides. ``epochs=False`` restores the
-pre-epoch engine; both paths produce byte-identical
-:class:`SimulationResult`\\ s (asserted by the equivalence suite).
+**Allocation epochs.** Each applied allocation opens an *epoch*. A *full*
+apply rebuilds the running set and its per-coflow counts from every pending
+flow and keeps the round's raw ``flow_id → rate`` map as the baseline; every
+later round is applied as a *diff* against that map, touching only flows
+whose rate changed, while the running set is maintained in place.
+Completion lookout uses a lazy min-heap keyed by ``(predicted finish lower
+bound, epoch, row)``: entries from superseded epochs are popped and
+discarded lazily, and each event pops only the entries whose lower bound
+could beat the provisional minimum — for those few flows the exact
+per-event arithmetic of the full scan is replayed, so the chosen instant is
+bit-identical to the scan's (see :meth:`SimulationSession._heap_completion`
+for the monotonicity argument). When a round churns most rates (UC-TCP
+recomputes global fair shares every event), the heap would cost more than
+it saves, so the session falls back to the plain scan until churn subsides.
+
+Full applies happen on the first round and after dynamics. They happen on
+*every* round in two cases: under a ``rate_perturbation`` hook (testbed
+mode redraws each flow's achieved rate at every application, so no diff
+baseline exists), and under ``config.incremental=False``. The latter is the
+reference oracle: full scheduler recompute, full apply, and a completion
+scan at every event, since the heap is only ever seeded after a diff. The
+equivalence suite asserts that it produces byte-identical
+:class:`SimulationResult`\\ s.
 """
 
 from __future__ import annotations
@@ -431,16 +437,12 @@ class SimulationSession:
         #: Last coflow finish instant (completion times are monotone, so
         #: this equals the makespan without retaining the coflows).
         self._max_finish = 0.0
-        #: Rows with a positive rate under the current allocation, plus
-        #: rows that may already be complete (zero-volume on arrival).
-        #: Only these can change state between events — keeping the hot
-        #: loops off the full active set is the kernel's main optimisation.
-        #: Under ``epochs`` this is a row-keyed insertion-ordered dict
-        #: maintained in place; the legacy path rebuilds a row list per
-        #: application. Both iterate as rows.
-        self._running: "dict[int, None] | list[int]" = (
-            {} if (config.epochs and rate_perturbation is None) else []
-        )
+        #: Rows with a positive rate under the current allocation, as a
+        #: row-keyed insertion-ordered dict: rebuilt by a full apply,
+        #: maintained in place by a diff. Only these rows can change state
+        #: between events — keeping the hot loops off the full active set is
+        #: the kernel's main optimisation.
+        self._running: dict[int, None] = {}
         #: Coflow ids with at least one running flow, precomputed at
         #: allocation time so time advancement can mark "progressed"
         #: coflows in the scheduling delta with one set union.
@@ -466,10 +468,7 @@ class SimulationSession:
         #: removes ids from the progressed set.
         self._progressed_synced = False
 
-        # ---- allocation-epoch state (config.epochs) ----------------------
-        #: Rate perturbation rewrites every rate on every application, so
-        #: nothing can be diffed; the epoch machinery disables itself.
-        self._epochs_engine = config.epochs and rate_perturbation is None
+        # ---- allocation-epoch state ----------------------------------------
         #: Raw flow_id → rate map of the previously applied allocation.
         self._prev_rates: dict[int, float] = {}
         #: row → running-flow count per coflow backing ``_running_cids``.
@@ -487,7 +486,9 @@ class SimulationSession:
         self._heap_live = False
         #: Next _earliest_completion should seed the heap during its scan.
         self._seed_pending = False
-        #: Next application must be a full rebuild (first round; dynamics).
+        #: Next application must be a full rebuild: the first round, after
+        #: dynamics, and every round under rate perturbation or
+        #: ``incremental=False`` (see :meth:`_apply_allocation`).
         self._full_apply_pending = True
         #: Events seen since the last allocation application — the reseed
         #: heuristic's estimate of how many events share one δ window.
@@ -843,6 +844,12 @@ class SimulationSession:
         if session._metrics is not None:
             session._metrics.inc("session.restores")
         session.state.restore_link_columns()
+        # Older checkpoints hold a row list here when their run applied
+        # every round in full (rate perturbation, or the removed
+        # ``epochs=False`` engine). Those sessions never cleared
+        # ``_full_apply_pending``, so the next round rebuilds this dict.
+        if isinstance(session._running, list):
+            session._running = dict.fromkeys(session._running)
         # Re-gate the compiled kernels on *this* environment: a snapshot
         # from a fastcore build restores cleanly where the extension is
         # absent (and vice versa) — results are bit-identical either way.
@@ -1018,7 +1025,7 @@ class SimulationSession:
         return now + best if math.isfinite(best) else None
 
     def _heap_completion(self) -> float | None:
-        """Next completion instant via the lazy heap (epochs engine, warm).
+        """Next completion instant via the lazy heap (warm).
 
         Exactness: the full scan returns ``now + min_f(remaining_f/rate_f)``
         and float addition is monotone, so that equals
@@ -1233,11 +1240,10 @@ class SimulationSession:
                             rt[i] > 0 and remaining <= rt[i] * 1e-8):
                         raw.append(i)
         if len(raw) > 1:
-            # The running set is maintained incrementally under epochs, so
-            # its iteration order drifts from the legacy rebuild order;
-            # restore it (active-coflow position, then flow position) so
-            # same-instant completions are recorded identically. On the
-            # legacy path the list is already in this order (stable no-op).
+            # A diff maintains the running set in place, so its iteration
+            # order drifts from the full rebuild's; restore that order
+            # (active-coflow position, then flow position) so same-instant
+            # completions are recorded identically on every apply path.
             active_pos = self._active_pos
             cid = tbl.coflow_id
             pos = tbl.pos
@@ -1298,8 +1304,8 @@ class SimulationSession:
         if done:
             # note_coflow_finished discards finished ids from the
             # progressed set below; the next advance must re-union so the
-            # delta matches the legacy every-advance behaviour exactly
-            # (finished ids reappear while they remain in _running_cids).
+            # delta equals a union at every advance (finished ids reappear
+            # while they remain in _running_cids).
             self._progressed_synced = False
             self.state.active_coflows = [
                 c for c in self.state.active_coflows
@@ -1315,21 +1321,16 @@ class SimulationSession:
         return True
 
     def _evict_coflow(self, coflow: CoFlow) -> None:
-        """Drop a finished coflow's rows from the epoch-engine bookkeeping.
+        """Drop a finished coflow's rows from the allocation bookkeeping.
 
         The table rows themselves are evicted (values copied back into the
         view objects, row recycled, epoch bumped) by
         :meth:`ClusterState.note_coflow_finished`, which runs right after
         this cleanup. ``_running_count`` is updated so future
         ``_running_cids`` rebuilds are correct, but the current frozenset is
-        left untouched: the legacy engine also keeps a finished coflow's id
-        in the progressed mark-set until the next allocation is applied.
+        left untouched: a finished coflow's id stays in the progressed
+        mark-set until the next allocation is applied.
         """
-        if not self._epochs_engine:
-            # Legacy path rebuilds the running list on every application;
-            # stale rows in it are harmless (finished rows are skipped by
-            # finish_time, recycled rows carry zero rate until applied).
-            return
         rows = coflow._rows
         if rows is None:
             return
@@ -1342,7 +1343,7 @@ class SimulationSession:
             gated.pop(i, None)
             unheaped.pop(i, None)
             if i in running:
-                del running[i]  # type: ignore[union-attr]
+                del running[i]
                 left = counts.get(cid, 0) - 1
                 if left > 0:
                     counts[cid] = left
@@ -1385,10 +1386,10 @@ class SimulationSession:
                     # Data-availability wakeups change nothing the delta
                     # vocabulary tracks, so they stay incremental.
                     self.state.note_dynamics()
-                    # Rates/ports may have been rewritten under the epoch
-                    # engine's feet (dynamics write through the views into
-                    # the table): drop the heap (scans are always exact)
-                    # and rebuild the diff baseline at the next round.
+                    # Rates/ports may have been rewritten under the diff
+                    # baseline's feet (dynamics write through the views
+                    # into the table): drop the heap (scans are always
+                    # exact) and rebuild the baseline at the next round.
                     self._full_apply_pending = True
                     self._go_cold()
                 changed = True
@@ -1444,7 +1445,7 @@ class SimulationSession:
         self._active_pos[coflow.coflow_id] = len(self.state.active_coflows)
         self.state.active_coflows.append(coflow)
         # Adopts the coflow's flows into the flow table (rows in ``flows``
-        # order, so the legacy completion tie-break order is preserved).
+        # order, which is the same-instant completion tie-break order).
         self.state.note_activated(coflow)
         self._coflow_of[coflow.coflow_id] = coflow
         if self._metrics is not None:
@@ -1632,15 +1633,30 @@ class SimulationSession:
         # The delta was just cleared and/or the running set may change:
         # the next advance must re-union progressed coflow ids.
         self._progressed_synced = False
-        if self._epochs_engine:
-            if self._full_apply_pending:
-                self._full_apply_pending = False
-                self._apply_full_epoch(allocation)
-            else:
-                self._apply_diff(allocation)
-            return
-        running: list[int] = []
-        running_cids: set[int] = set()
+        if self._full_apply_pending:
+            self._full_apply_pending = (
+                self._rate_perturbation is not None
+                or not self.config.incremental
+            )
+            self._apply_full_epoch(allocation)
+        else:
+            self._apply_diff(allocation)
+
+    def _apply_full_epoch(self, allocation: Allocation) -> None:
+        """Full rebuild opening a fresh epoch baseline.
+
+        Runs on the first round, after dynamics mutated state in ways a
+        diff cannot describe, and on every round under rate perturbation
+        or ``incremental=False``. The perturbation hook is called in
+        active-coflow then flow order, after efficiency scaling, and only
+        for an available flow with a positive rate: a stateful hook such as
+        :class:`~repro.simulator.testbed.RateJitter` draws in that order.
+        """
+        self._go_cold()
+        running = self._running
+        running.clear()  # kept: same dict object
+        counts: dict[int, int] = {}
+        gated: dict[int, None] = {}
         rates_get = allocation.rates.get
         efficiency = self.flow_efficiency
         perturb = self._rate_perturbation
@@ -1670,64 +1686,16 @@ class SimulationSession:
                         # the slot is wasted, which is the behaviour the
                         # data-unavailability experiment measures.
                         rate = 0.0
-                    elif efficiency:
-                        rate *= efficiency.get(fid[i], 1.0)
-                    if rate > 0 and perturb is not None:
-                        rate = perturb(view[i], rate)
-                rate = rate if rate > 0.0 else 0.0
-                rt[i] = rate
-                if rate > 0:
-                    running.append(i)
-                    running_cids.add(cidc[i])
-                    if st[i] is None:
-                        st[i] = now
-        self._running = running
-        self._running_cids = frozenset(running_cids)
-        if self._metrics is not None:
-            self._metrics.inc("apply.rebuild")
-        if self._tracer is not None:
-            self._tracer.instant(
-                "apply_rates", now, "epoch",
-                {"running": len(running)},
-            )
-
-    def _apply_full_epoch(self, allocation: Allocation) -> None:
-        """Full rebuild opening a fresh epoch baseline (first round or
-        after dynamics mutated state in ways a diff cannot describe)."""
-        self._go_cold()
-        running = self._running
-        running.clear()  # type: ignore[union-attr]  # kept: same dict object
-        counts: dict[int, int] = {}
-        gated: dict[int, None] = {}
-        rates_get = allocation.rates.get
-        efficiency = self.flow_efficiency
-        state = self.state
-        now = self._now
-        tbl = self._table
-        fid = tbl.flow_id
-        cidc = tbl.coflow_id
-        ft = tbl.finish_time
-        rt = tbl.rate
-        st = tbl.start_time
-        avail = tbl.available_time
-        for coflow in state.active_coflows:
-            rows = state.pending_rows(coflow)
-            if rows is None:  # pragma: no cover - engine states always track
-                rows = []
-            for i in rows:
-                if ft[i] is not None:
-                    continue
-                rate = rates_get(fid[i], 0.0)
-                if rate > 0:
-                    if avail[i] > now:
-                        rate = 0.0
                         gated[i] = None
-                    elif efficiency:
-                        rate *= efficiency.get(fid[i], 1.0)
+                    else:
+                        if efficiency:
+                            rate *= efficiency.get(fid[i], 1.0)
+                        if perturb is not None and rate > 0:
+                            rate = perturb(view[i], rate)
                 rate = rate if rate > 0.0 else 0.0
                 rt[i] = rate
                 if rate > 0:
-                    running[i] = None  # type: ignore[index]
+                    running[i] = None
                     cid = cidc[i]
                     counts[cid] = counts.get(cid, 0) + 1
                     if st[i] is None:
@@ -1849,7 +1817,7 @@ class SimulationSession:
                 if bump_epochs:
                     ep[i] += 1
             if i in running:
-                del running[i]  # type: ignore[union-attr]
+                del running[i]
                 members_changed = True
                 cid = cidc[i]
                 left = counts[cid] - 1
@@ -1866,8 +1834,8 @@ class SimulationSession:
             # Unchanged raw rate, but the availability window may have
             # opened since the last round: always re-evaluate. Snapshot
             # (by flow id) before the changed-entry pass below mutates
-            # ``gated`` — the legacy behaviour built its processing list
-            # up front.
+            # ``gated``, as a full apply decides every row from the state
+            # before the round.
             new_get = new.get
             gated_pairs = [(fid[i], new_get(fid[i], 0.0)) for i in gated]
             pairs = chain(changed, gated_pairs)
@@ -1900,7 +1868,7 @@ class SimulationSession:
                     ep[i] += 1
                 if rate > 0:
                     if i not in running:
-                        running[i] = None  # type: ignore[index]
+                        running[i] = None
                         members_changed = True
                         cid = cidc[i]
                         counts[cid] = counts.get(cid, 0) + 1
@@ -1910,7 +1878,7 @@ class SimulationSession:
                         st[i] = now
                 else:
                     if i in running:
-                        del running[i]  # type: ignore[union-attr]
+                        del running[i]
                         members_changed = True
                         cid = cidc[i]
                         left = counts[cid] - 1

@@ -21,6 +21,7 @@ from repro.simulator.session import (
     SessionSnapshot,
     SimulationSession,
 )
+from repro.simulator.testbed import RateJitter
 from repro.workloads.synthetic import WorkloadGenerator, fb_like_spec
 
 CONFIG = SimulationConfig()
@@ -33,10 +34,10 @@ def _workload(seed=3, machines=10, coflows=12):
     return fabric, coflows
 
 
-def _session(policy, fabric, coflows):
+def _session(policy, fabric, coflows, **kw):
     return SimulationSession(
         fabric, make_scheduler(policy, CONFIG), CONFIG,
-        scenario=Scenario.from_coflows(coflows),
+        scenario=Scenario.from_coflows(coflows), **kw,
     )
 
 
@@ -129,6 +130,48 @@ def test_checkpoint_every_validation():
         session.run(checkpoint_every=0.0, checkpoint_path="x.ckpt")
     with pytest.raises(ConfigError, match="needs a destination"):
         session.run(checkpoint_every=1.0)
+
+
+# ---- checkpoints from before the engine toggle was removed -----------------
+
+
+def _as_pre_epoch_engine(payload, *, toggled):
+    """Rewrite a snapshot payload into the shape the removed pre-epoch engine
+    saved: the running set as a row list, its engine flag, none of the diff
+    or heap bookkeeping, a full apply pending and, when the engine was
+    picked by the config toggle, that field in the pickled config."""
+    payload["_running"] = list(payload["_running"])
+    payload["_epochs_engine"] = False
+    payload.update(
+        _running_count={}, _gated={}, _prev_rates={}, _heap=[],
+        _unheaped={}, _heap_live=False, _seed_pending=False,
+        _full_apply_pending=True,
+    )
+    if toggled:
+        payload["config"].__dict__["epochs"] = False
+
+
+@pytest.mark.parametrize("perturbed", [False, True])
+def test_pre_epoch_engine_checkpoint_resumes_byte_identical(perturbed,
+                                                            tmp_path):
+    """Runs with rate perturbation, or with the removed ``epochs=False``
+    engine, checkpointed before that engine was removed must still resume
+    to the uninterrupted run's result."""
+    def jitter():
+        return {"rate_perturbation": RateJitter(seed=3)} if perturbed else {}
+
+    full = _fingerprint(_session("saath", *_workload(), **jitter()).run())
+    fabric, coflows = _workload()
+    session = _session("saath", fabric, coflows, **jitter())
+    arrivals = sorted(c.arrival_time for c in coflows)
+    session.run_until(arrivals[len(arrivals) // 2])
+    snap = session.snapshot()
+    _as_pre_epoch_engine(snap.payload, toggled=not perturbed)
+    resumed = SimulationSession.restore(
+        SessionSnapshot.load(snap.save(tmp_path / "pre-epoch.ckpt"))
+    )
+    assert isinstance(resumed._running, dict)
+    assert _fingerprint(resumed.run()) == full
 
 
 # ---- file-format integrity -------------------------------------------------

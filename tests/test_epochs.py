@@ -1,8 +1,10 @@
 """Allocation-epoch engine tests: rate diffing, the lazy completion heap,
 flow-group compaction, and the satellite fixes that ride along.
 
-The epoch engine (``SimulationConfig.epochs``) must be *exactly* equivalent
-to the pre-epoch engine: identical ``SimulationResult``s and an identical
+The default engine applies allocations as rate diffs and finds completions
+through a lazy heap; it must be *exactly* equivalent to the reference
+oracle (``incremental=False``), which applies every allocation in full and
+scans for completions: identical ``SimulationResult``s and an identical
 running set after every allocation application. These tests assert that
 white-box invariant directly, exercise the edge cases the diffing logic must
 preserve (rate perturbation, dynamics rebuilds, δ > 0 sync, zero-volume
@@ -49,10 +51,12 @@ class _RecordingSimulator(Simulator):
         self.applied.append((self._now, running))
 
 
-def _run_recorded(policy, coflows, fabric, *, epochs, dynamics=(), **cfg_kw):
-    cfg = SimulationConfig(epochs=epochs, **cfg_kw)
+def _run_recorded(policy, coflows, fabric, *, incremental, dynamics=(),
+                  rate_perturbation=None, **cfg_kw):
+    cfg = SimulationConfig(incremental=incremental, **cfg_kw)
     sim = _RecordingSimulator(
-        fabric, make_scheduler(policy, cfg), cfg, dynamics=list(dynamics)
+        fabric, make_scheduler(policy, cfg), cfg, dynamics=list(dynamics),
+        rate_perturbation=rate_perturbation,
     )
     result = sim.run(clone_coflows(coflows))
     return result, sim.applied
@@ -76,10 +80,12 @@ def test_diffed_apply_matches_full_running_sets(policy, sync_ms):
     fabric = spec.make_fabric()
     coflows = WorkloadGenerator(spec, seed=23).generate_coflows(fabric)
     res_e, applied_e = _run_recorded(
-        policy, coflows, fabric, epochs=True, sync_interval=sync_ms * 1e-3
+        policy, coflows, fabric, incremental=True,
+        sync_interval=sync_ms * 1e-3,
     )
     res_f, applied_f = _run_recorded(
-        policy, coflows, fabric, epochs=False, sync_interval=sync_ms * 1e-3
+        policy, coflows, fabric, incremental=False,
+        sync_interval=sync_ms * 1e-3,
     )
     _assert_same_result(res_e, res_f, f"({policy}, delta={sync_ms}ms)")
     assert applied_e == applied_f, (
@@ -90,8 +96,8 @@ def test_diffed_apply_matches_full_running_sets(policy, sync_ms):
 @pytest.mark.parametrize("policy", ["saath", "aalo", "uc-tcp"])
 def test_rate_perturbation_equivalent(policy):
     """A rate-perturbation hook rewrites every rate per application, so the
-    engine must fall back to full applications — and still agree with the
-    pre-epoch engine exactly."""
+    engine applies every round in full — on the default path and on the
+    oracle alike, with identical running sets after every application."""
     spec = fb_like_spec(num_machines=12, num_coflows=30)
     fabric = spec.make_fabric()
     coflows = WorkloadGenerator(spec, seed=29).generate_coflows(fabric)
@@ -100,14 +106,14 @@ def test_rate_perturbation_equivalent(policy):
         # Deterministic, flow-dependent enforcement error (§7 setup).
         return rate * (0.9 + 0.05 * (flow.flow_id % 3))
 
-    results = []
-    for epochs in (True, False):
-        cfg = SimulationConfig(epochs=epochs)
-        results.append(run_policy(
-            make_scheduler(policy, cfg), clone_coflows(coflows), fabric, cfg,
-            rate_perturbation=perturb,
-        ))
-    _assert_same_result(*results, ctx=f"({policy}, perturbation)")
+    res_e, applied_e = _run_recorded(
+        policy, coflows, fabric, incremental=True, rate_perturbation=perturb,
+    )
+    res_f, applied_f = _run_recorded(
+        policy, coflows, fabric, incremental=False, rate_perturbation=perturb,
+    )
+    _assert_same_result(res_e, res_f, f"({policy}, perturbation)")
+    assert applied_e == applied_f
 
 
 @pytest.mark.parametrize("policy", ["saath", "aalo", "uc-tcp"])
@@ -125,11 +131,11 @@ def test_dynamics_rebuild_equivalent(policy):
         PortRecovery(time=0.6, port=2),
     ]
     res_e, applied_e = _run_recorded(
-        policy, coflows, fabric, epochs=True, dynamics=dynamics,
+        policy, coflows, fabric, incremental=True, dynamics=dynamics,
         sync_interval=8e-3,
     )
     res_f, applied_f = _run_recorded(
-        policy, coflows, fabric, epochs=False, dynamics=dynamics,
+        policy, coflows, fabric, incremental=False, dynamics=dynamics,
         sync_interval=8e-3,
     )
     _assert_same_result(res_e, res_f, f"({policy}, dynamics)")
@@ -149,8 +155,8 @@ def test_zero_volume_arrivals_equivalent():
     ]
     for policy in ("saath", "aalo", "uc-tcp"):
         results = []
-        for epochs in (True, False):
-            cfg = SimulationConfig(epochs=epochs)
+        for incremental in (True, False):
+            cfg = SimulationConfig(incremental=incremental)
             results.append(run_policy(
                 make_scheduler(policy, cfg), clone_coflows(coflows), fabric,
                 cfg,
@@ -176,8 +182,8 @@ def test_dag_multi_dependency_release_order():
     coflows = [root_a, root_b, early, joint]
     for policy in ("saath", "aalo"):
         results = []
-        for epochs in (True, False):
-            cfg = SimulationConfig(epochs=epochs)
+        for incremental in (True, False):
+            cfg = SimulationConfig(incremental=incremental)
             results.append(run_policy(
                 make_scheduler(policy, cfg), clone_coflows(coflows), fabric,
                 cfg,
@@ -188,7 +194,7 @@ def test_dag_multi_dependency_release_order():
 
 
 def _hand_simulator(num_machines=2, **cfg_kw):
-    cfg = SimulationConfig(epochs=True, **cfg_kw)
+    cfg = SimulationConfig(**cfg_kw)
     fabric = Fabric(num_machines=num_machines, port_rate=1e3)
     sim = Simulator(fabric, make_scheduler("uc-tcp", cfg), cfg)
     return sim, fabric

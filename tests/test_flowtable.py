@@ -133,7 +133,7 @@ class TestAdoptEvict:
 
 class TestViewCoherence:
     def _sim(self):
-        cfg = SimulationConfig(epochs=True)
+        cfg = SimulationConfig()
         fabric = Fabric(num_machines=4, port_rate=1e3)
         sim = Simulator(fabric, make_scheduler("uc-tcp", cfg), cfg)
         return sim, fabric

@@ -1,14 +1,14 @@
 """Randomized engine-path equivalence fuzz.
 
 The fixed-workload equivalence suite (tests/test_incremental.py,
-tests/test_epochs.py) pins the triple-path invariant on curated inputs;
+tests/test_epochs.py) pins the engine-path invariant on curated inputs;
 this module hammers it with ~20 seeded random small workloads mixing
 staggered arrivals, DAG dependencies, zero-byte flows and delayed data
 availability. For every registered scheduler the engine paths —
 
-* ``epochs`` (allocation-epoch engine, the default),
-* ``--no-epochs`` (pre-epoch incremental engine),
-* ``--no-incremental`` (full-recompute scheduling),
+* ``default`` (incremental scheduling, diffed allocation applies),
+* ``--no-incremental`` (the reference oracle: full-recompute scheduling,
+  full applies, completion scans),
 * ``stream`` (the same workload pulled lazily through a generator-backed
   :class:`~repro.simulator.scenario.Scenario`),
 * ``resumed`` (every 5th seed: pause mid-run, ``snapshot()``,
@@ -141,13 +141,12 @@ def fingerprint(result) -> tuple:
 
 
 ENGINE_PATHS = (
-    ("epochs", dict(epochs=True, incremental=True)),
-    ("no-epochs", dict(epochs=False, incremental=True)),
-    ("no-incremental", dict(epochs=False, incremental=False)),
-    # Seventh engine path: compiled kernels forced off. The other paths
-    # run with the default ``fastcore=True``, so whenever the extension
-    # is built this leg pins C-vs-Python bitwise on every seed/policy.
-    ("no-fastcore", dict(epochs=True, incremental=True, fastcore=False)),
+    ("default", dict()),
+    ("no-incremental", dict(incremental=False)),
+    # Compiled kernels forced off. The other paths run with the default
+    # ``fastcore=True``, so whenever the extension is built this leg pins
+    # C-vs-Python bitwise on every seed/policy.
+    ("no-fastcore", dict(fastcore=False)),
 )
 
 
@@ -155,7 +154,7 @@ def assert_engine_paths_identical(policy, fabric, coflows, seed, *,
                                   deep_paths, pause_at=0.3, label=""):
     """Run ``coflows`` under every engine path and pin byte-identity.
 
-    Always: epochs / no-epochs / no-incremental / no-fastcore / stream.
+    Always: default / no-incremental / no-fastcore / stream.
     With ``deep_paths`` (deep copies are not free, so callers sample):
     also snapshot-resume and the single-rack leaf-spine topology (row
     forms and compiled kernels over a :class:`LinkLedger`).
@@ -202,7 +201,7 @@ def assert_engine_paths_identical(policy, fabric, coflows, seed, *,
                 fabric, racks=1, spines=2, oversub=1.0
             ),
         ))
-    reference = prints["epochs"]
+    reference = prints["default"]
     assert all(p == reference for p in prints.values()), (
         f"engine paths diverged: policy={policy} seed={seed} {label}"
         f"({[k for k, p in prints.items() if p != reference]})"

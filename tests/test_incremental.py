@@ -42,14 +42,11 @@ def _toy_config(**kw) -> dict:
 
 
 #: The scheduling/engine paths that must produce byte-identical results:
-#: the allocation-epoch engine (the default), the pre-epoch incremental
-#: path, the full-recompute path (``--no-incremental``), and the
-#: CLI-reachable epoch-engine-over-full-recompute pairing.
+#: the default (incremental bookkeeping, diffed applies) and the reference
+#: oracle (``--no-incremental``: full recompute, full applies).
 _PATHS = (
-    dict(epochs=True, incremental=True),
-    dict(epochs=False, incremental=True),
-    dict(epochs=False, incremental=False),
-    dict(epochs=True, incremental=False),
+    dict(incremental=True),
+    dict(incremental=False),
 )
 
 

@@ -12,14 +12,12 @@ Usage::
     PYTHONPATH=src python tools/profile_hotpaths.py --policy uc-tcp \\
         --trace osp-like --scale small --sort cumulative --top 25
     PYTHONPATH=src python tools/profile_hotpaths.py --all          # 4 policies
-    PYTHONPATH=src python tools/profile_hotpaths.py --no-epochs    # old engine
     PYTHONPATH=src python tools/profile_hotpaths.py --cells        # cell table
     PYTHONPATH=src python tools/profile_hotpaths.py --phases       # phase timers
 
-The ``--no-epochs`` / ``--no-incremental`` / ``--no-fastcore`` flags
-profile the fallback paths, which is how the allocation-epoch engine's win
-(engine.py PR 2) and the compiled-core win (_fastcore PR 8) were measured:
-profile both, diff the per-function tottime.
+The ``--no-incremental`` / ``--no-fastcore`` flags profile the reference
+oracle and the pure-Python path, which is how the compiled-core win was
+measured: profile both, diff the per-function tottime.
 
 ``--cells`` skips cProfile and instead times every (trace × policy) cell
 of the Fig. 9 grid end-to-end (median of ``--runs``), printing a table
@@ -76,10 +74,8 @@ def build_parser() -> argparse.ArgumentParser:
                         choices=["tottime", "cumulative", "ncalls"])
     parser.add_argument("--top", type=int, default=20,
                         help="number of rows to print per policy")
-    parser.add_argument("--no-epochs", action="store_true",
-                        help="profile the pre-epoch engine path")
     parser.add_argument("--no-incremental", action="store_true",
-                        help="profile the full-recompute scheduler path")
+                        help="profile the full-recompute reference oracle")
     parser.add_argument("--no-fastcore", action="store_true",
                         help="profile the pure-Python path even when the "
                              "repro._fastcore extension is built")
@@ -183,7 +179,6 @@ def main(argv: list[str] | None = None) -> int:
     scale = ExperimentScale(args.scale)
     config = SimulationConfig(
         sync_interval=args.sync_ms * 1e-3,
-        epochs=not args.no_epochs,
         incremental=not args.no_incremental,
         fastcore=not args.no_fastcore,
     )
@@ -197,7 +192,7 @@ def main(argv: list[str] | None = None) -> int:
     coflows = WorkloadGenerator(spec, seed=args.seed).generate_coflows(fabric)
     print(f"trace={args.trace} scale={scale.value} "
           f"machines={spec.num_machines} coflows={len(coflows)} "
-          f"sync={args.sync_ms}ms epochs={config.epochs} "
+          f"sync={args.sync_ms}ms "
           f"incremental={config.incremental} fastcore={config.fastcore}")
     policies = FIG9_POLICIES if args.all else (args.policy,)
     for policy in policies:
