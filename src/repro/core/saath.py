@@ -30,7 +30,9 @@ from ..config import SimulationConfig
 from ..schedulers.base import Allocation, Scheduler
 from ..schedulers.queues import QueueTracker
 from ..simulator.flows import CoFlow, Flow
-from ..simulator.ratealloc import (
+# Only the *_rows forms are called; the object and *_paths names stay bound
+# because layerbench's traced run wraps the allocators named in this module.
+from ..simulator.ratealloc import (  # noqa: F401
     equal_rate_for_coflow,
     equal_rate_for_coflow_paths,
     equal_rate_for_coflow_rows,
@@ -114,73 +116,33 @@ class SaathScheduler(Scheduler):
         ledger = self._round_ledger(state)
         allocation = Allocation()
 
-        if state.rows_tracked():
-            # Row path on either fabric: admission, D2 rates and work
-            # conservation all walk table rows over each flow's whole link
-            # path (the table's core-link columns), so on a multi-tier
-            # topology a coflow is admitted only when every core link on
-            # its flows' paths still has capacity, and its rate saturates
-            # at the true bottleneck.
-            table = state.table
-            missed_rows: list[list[int]] = []
-            for coflow in order:
-                rows = state.schedulable_rows(coflow, now)
-                if not rows:
-                    continue
-                # Flow-group compaction: per-link pending counts replace
-                # the per-flow recount in admission and D2 rate assignment
-                # whenever they exactly describe the schedulable set
-                # (None while data availability gates some flows).
-                counts = state.port_counts(coflow, now)
-                if self._admissible_rows(rows, table, ledger, counts):
-                    rates = equal_rate_for_coflow_rows(
-                        rows, table, ledger, port_counts=counts
-                    )
-                    if rates:
-                        allocation.rates.update(rates)
-                        allocation.scheduled_coflows.add(coflow.coflow_id)
-                        continue
-                missed_rows.append(rows)
-            if self.work_conservation and missed_rows:
-                self._work_conserve_rows(
-                    missed_rows, table, ledger, allocation
-                )
-            return allocation
-
-        # Object path (hand-assembled states). On a multi-tier topology
-        # admission and the D2 rate run over link counts and the *_paths
-        # form; the greedy fill goes through ledger.fill, which a
-        # LinkLedger bounds by (and charges to) the whole path.
-        paths = state.paths
-        #: Missed coflows with their (already gathered) schedulable flows,
-        #: so work conservation does not re-derive the same lists.
-        missed: list[list[Flow]] = []
+        # Admission, D2 rates and work conservation all walk table rows
+        # over each flow's whole link path (the table's core-link columns),
+        # so on a multi-tier topology a coflow is admitted only when every
+        # core link on its flows' paths still has capacity, and its rate
+        # saturates at the true bottleneck.
+        table = state.table
+        missed: list[list[int]] = []
         for coflow in order:
-            flows = state.schedulable_flows(coflow, now)
-            if not flows:
+            rows = state.schedulable_rows(coflow, now)
+            if not rows:
                 continue
-            if paths is not None:
-                counts = state.link_counts(coflow, now, flows=flows)
-            else:
-                counts = state.port_counts(coflow, now)
-            if self._all_or_none_admissible(flows, ledger, counts):
-                if paths is not None:
-                    rates = equal_rate_for_coflow_paths(
-                        coflow, ledger, paths,
-                        flows=flows, link_counts=counts,
-                    )
-                else:
-                    rates = equal_rate_for_coflow(
-                        coflow, ledger, flows=flows, port_counts=counts
-                    )
+            # Flow-group compaction: per-link pending counts replace the
+            # per-flow recount in admission and D2 rate assignment whenever
+            # they exactly describe the schedulable set (None while data
+            # availability gates some flows).
+            counts = state.port_counts(coflow, now)
+            if self._admissible_rows(rows, table, ledger, counts):
+                rates = equal_rate_for_coflow_rows(
+                    rows, table, ledger, port_counts=counts
+                )
                 if rates:
                     allocation.rates.update(rates)
                     allocation.scheduled_coflows.add(coflow.coflow_id)
                     continue
-            missed.append(flows)
-
+            missed.append(rows)
         if self.work_conservation and missed:
-            self._work_conserve(missed, ledger, allocation)
+            self._work_conserve_rows(missed, table, ledger, allocation)
         return allocation
 
     def next_wakeup(self, state: ClusterState, allocation: Allocation,
@@ -343,31 +305,15 @@ class SaathScheduler(Scheduler):
             tracker.assert_matches_full(state.active_coflows, queue_of)
         return tracker.counts(queue_of)
 
-    def _all_or_none_admissible(self, flows: list[Flow], ledger,
-                                port_counts: dict[int, int] | None = None,
-                                ) -> bool:
-        """True if every port the flows touch has ≥ min_rate residual.
-
-        ``port_counts`` (the cluster state's compaction cache) supplies the
-        port set directly when it exactly covers ``flows``, skipping the
-        per-flow set build; the admission predicate is a conjunction over
-        the same ports either way.
-        """
-        min_rate = self.config.min_rate
-        residual = ledger.residual
-        if port_counts is not None:
-            return all(residual(p) >= min_rate for p in port_counts)
-        ports: set[int] = set()
-        for f in flows:
-            ports.add(f.src)
-            ports.add(f.dst)
-        return all(residual(p) >= min_rate for p in ports)
-
     def _admissible_rows(self, rows: list[int], table, ledger,
                          port_counts: dict[int, int] | None = None) -> bool:
-        """Row-path twin of :meth:`_all_or_none_admissible` over every link
-        of the rows' paths (host ports plus core links; same conjunction).
-        ``residual(p) >= min_rate`` is evaluated as
+        """All-or-none admission: True if every link the rows' paths cross
+        (host ports plus core links) has ≥ ``min_rate`` residual.
+
+        ``port_counts`` (the cluster state's compaction cache) supplies the
+        link set directly when it exactly covers ``rows``, skipping the
+        per-row set build; the predicate is a conjunction over the same
+        links either way. ``residual(p) >= min_rate`` is evaluated as
         ``capacity - used >= min_rate`` over the ledger's dense lists —
         ``min_rate`` is validated positive, so the max-with-zero clamp
         inside ``residual`` cannot change the comparison."""
@@ -398,21 +344,10 @@ class SaathScheduler(Scheduler):
                 return False
         return True
 
-    def _work_conserve(self, missed: list[list[Flow]],
-                       ledger, allocation: Allocation) -> None:
-        """Fig. 7 lines 18–23: fill leftover capacity in scheduling order."""
-        wc_flows: list[Flow] = []
-        for flows in missed:
-            wc_flows.extend(flows)
-        rates = greedy_residual_rates(wc_flows, ledger)
-        if rates:
-            allocation.rates.update(rates)
-            granted = {f.coflow_id for f in wc_flows if f.flow_id in rates}
-            allocation.work_conserved_coflows |= granted
-
     def _work_conserve_rows(self, missed: list[list[int]], table,
                             ledger, allocation: Allocation) -> None:
-        """Row-path twin of :meth:`_work_conserve` (same fill walk)."""
+        """Fig. 7 lines 18–23: fill leftover capacity in scheduling order,
+        over the missed coflows' schedulable rows."""
         wc_rows: list[int] = []
         for rows in missed:
             wc_rows.extend(rows)

@@ -24,7 +24,7 @@ from collections import defaultdict
 
 from .._fastcore import core as _core
 from ..config import SimulationConfig
-from ..simulator.flows import CoFlow, Flow
+from ..simulator.flows import CoFlow
 from ..simulator.state import ClusterState
 from .base import Allocation, Scheduler
 from .queues import QueueTracker
@@ -101,55 +101,17 @@ class AaloScheduler(Scheduler):
             for coflow in state.active_coflows:
                 self.tracker.refresh(coflow, now)
 
-        # Gather schedulable flows per sender port, already in local
-        # priority order: sorting the *coflows* once by (queue, FIFO) and
-        # emitting their flows in flow-id order yields exactly the per-port
+        # Gather schedulable rows per sender port, already in local priority
+        # order: sorting the *coflows* once by (queue, FIFO) and emitting
+        # their rows in flow-id order yields exactly the per-port
         # (queue, fifo, flow_id) order the ports serve in — each coflow has
-        # a unique FIFO index and its flows carry ascending ids — without
-        # building or sorting a key tuple per flow. Flows are bucketed into
-        # equal-queue runs directly, so the per-port pass needn't re-slice.
-        if state.rows_tracked():
-            return self._schedule_rows(state, now)
-        # Object path (hand-assembled states): every grant goes through
-        # ledger.fill_capped, which a LinkLedger bounds by (and charges
-        # to) the flow's whole link path.
-        queue_of = self.tracker.queue_of
-        arrival_order = self._arrival_order
-        ordered = sorted(
-            state.active_coflows,
-            key=lambda c: (queue_of(c), arrival_order[c.coflow_id]),
-        )
-        per_sender: dict[int, list[tuple[int, list[Flow]]]] = defaultdict(list)
-        for coflow in ordered:
-            queue = queue_of(coflow)
-            flows = state.schedulable_flows(coflow, now)
-            if not self._id_sorted.get(coflow.coflow_id, True):
-                flows.sort(key=lambda f: f.flow_id)
-            for f in flows:
-                runs = per_sender[f.src]
-                if not runs or runs[-1][0] != queue:
-                    runs.append((queue, [f]))
-                else:
-                    runs[-1][1].append(f)
-
-        ledger = self._round_ledger(state)
-        allocation = Allocation()
-        # Ports act independently; a deterministic port order stands in for
-        # the real system's races on receiver capacity.
-        for port in sorted(per_sender):
-            self._allocate_port(port, per_sender[port], ledger, allocation)
-        return allocation
-
-    def _schedule_rows(self, state: ClusterState, now: float) -> Allocation:
-        """Row-path round: bucket table rows per sender, serve each port.
-
-        Same (queue, fifo, flow_id) service order as the object path — rows
-        are emitted per coflow in flow order (ascending ids, re-sorted via
-        the table otherwise) — with the per-flow attribute reads replaced
-        by integer-indexed column reads. The (queue, FIFO) coflow ordering
-        is a plain tuple sort (no key lambda): FIFO indices are unique, so
-        the trailing coflow object never gets compared.
-        """
+        # a unique FIFO index and its rows follow its flows, which carry
+        # ascending ids (re-sorted via the table otherwise) — without
+        # building or sorting a key tuple per flow. The (queue, FIFO)
+        # coflow ordering is a plain tuple sort (no key lambda): FIFO
+        # indices are unique, so the trailing coflow object never gets
+        # compared. Rows are bucketed into equal-queue runs directly, so
+        # the per-port pass needn't re-slice.
         table = state.table
         src_col = table.src
         fid = table.flow_id
@@ -216,6 +178,8 @@ class AaloScheduler(Scheduler):
             table.link_b, allocation.rates, allocation.scheduled_coflows,
             dead_dst,
         )
+        # Ports act independently; a deterministic port order stands in for
+        # the real system's races on receiver capacity.
         for port in sorted(per_sender):
             self._allocate_port_rows(port, per_sender[port], lists)
         return allocation
@@ -223,21 +187,25 @@ class AaloScheduler(Scheduler):
     def _allocate_port_rows(self, port: int,
                             runs: list[tuple[int, list[int]]],
                             lists: tuple) -> None:
-        """Row-path twin of :meth:`_allocate_port` (same grants, same
-        order); flow identity, receiver ports and core links come from the
-        table columns, and
-        :meth:`~repro.simulator.topology.LinkLedger.fill_capped` is fused
-        inline over the ledger's dense lists — every flow here
-        sends from ``port``, so its usage rides in a local accumulator and
-        is written back once (grant arithmetic and at-capacity clamps are
-        identical, and receiver ports and core links live in id ranges
-        disjoint from the senders', so no read can observe the deferred
-        write). ``lists`` carries the round-hoisted ledger lists, table
-        columns, allocation sinks and the round's dead-receiver memo — an
-        exhausted receiver stays exhausted for the rest of the round (usage
-        only grows), so skipping it is an exact no-op: the fill would have
-        granted 0 and committed nothing. Only an exhausted *receiver* is
-        memoised: a full core link blocks one path, not the receiver.
+        """Weighted queue shares at one sender port, then a spill pass.
+
+        ``runs`` holds the port's schedulable rows sliced into runs of
+        equal queue, in (queue, fifo, flow_id) order. Each grant is
+        ``min(budget, residual)`` over every link of the row's path
+        (sender, receiver, core links), committed on each of them with
+        :meth:`~repro.simulator.fabric.PortLedger.commit`'s at-capacity
+        clamp, inline over the ledger's dense lists. Flow identity,
+        receiver ports and core links come from the table columns. Every
+        flow here sends from ``port``, so its usage rides in a local
+        accumulator and is written back once (receiver ports and core
+        links live in id ranges disjoint from the senders', so no read can
+        observe the deferred write). ``lists`` carries the round-hoisted
+        ledger lists, table columns, allocation sinks and the round's
+        dead-receiver memo — an exhausted receiver stays exhausted for the
+        rest of the round (usage only grows), so skipping it is an exact
+        no-op: the fill would have granted 0 and committed nothing. Only an
+        exhausted *receiver* is memoised: a full core link blocks one path,
+        not the receiver.
 
         The work-conservation spill (pass 2) is pass 1 with an infinite
         budget per run: the budget then never binds, never runs out and
@@ -312,63 +280,6 @@ class AaloScheduler(Scheduler):
                 rates[flow_id] = rates_get(flow_id, 0.0) + rate
                 scheduled.add(cid[i])
         lused[port] = used_src
-
-    def _allocate_port(self, port: int,
-                       runs: list[tuple[int, list[Flow]]],
-                       ledger, allocation: Allocation) -> None:
-        """Weighted queue shares at one sender port, then a spill pass.
-
-        ``runs`` holds the port's schedulable flows sliced into runs of
-        equal queue, in (queue, fifo, flow_id) order. Each grant goes
-        through :meth:`~repro.simulator.fabric.PortLedger.fill_capped` —
-        one fused residual/commit call whose rate is the same
-        ``min(budget, residual(src), residual(dst))`` as the unfused pair.
-        """
-        port_capacity = ledger.residual(port)
-        if port_capacity <= 0:
-            return
-        weight_of = self._queue_weight
-        total_weight = 0.0
-        for q, _ in runs:
-            total_weight += weight_of[q]
-
-        fill_capped = ledger.fill_capped
-        rates = allocation.rates
-        rates_get = rates.get
-        scheduled = allocation.scheduled_coflows
-
-        # Every flow here sends from ``port``, so once the port's residual
-        # hits zero no later flow (in either pass) can receive a rate —
-        # the ledger's -1.0 sentinel bails out instead of scanning the
-        # remaining no-op iterations.
-
-        # Pass 1: each occupied queue spends its weighted share, FIFO.
-        for q, run in runs:
-            budget = port_capacity * weight_of[q] / total_weight
-            for flow in run:
-                if budget <= 0:
-                    break
-                rate = fill_capped(port, flow.dst, budget)
-                if rate <= 0:
-                    if rate < 0:
-                        return  # sender port exhausted
-                    continue  # receiver full; later receivers may differ
-                budget -= rate
-                rates[flow.flow_id] = rates_get(flow.flow_id, 0.0) + rate
-                scheduled.add(flow.coflow_id)
-
-        # Pass 2 (work conservation): spill leftover capacity in strict
-        # priority+FIFO order, e.g. when a queue's share outruns its flows'
-        # receiver capacity.
-        for _, run in runs:
-            for flow in run:
-                rate = fill_capped(port, flow.dst, math.inf)
-                if rate <= 0:
-                    if rate < 0:
-                        return  # sender port exhausted
-                    continue
-                rates[flow.flow_id] = rates_get(flow.flow_id, 0.0) + rate
-                scheduled.add(flow.coflow_id)
 
     def next_wakeup(self, state: ClusterState, allocation: Allocation,
                     now: float) -> float | None:

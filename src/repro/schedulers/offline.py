@@ -1,8 +1,9 @@
 """Offline ordering policies SCF, SRTF and LWTF (§2.4, Fig. 3).
 
 These clairvoyant policies share one skeleton — sort active coflows by a
-priority key, hand each coflow MADD rates on the residual capacity, backfill
-the rest — and differ only in the key:
+priority key, then run Varys's
+:func:`~repro.schedulers.varys.madd_round` (MADD rates on the residual
+capacity, backfill the rest) — and differ only in the key:
 
 * **SCF** (Shortest CoFlow First): static total size, the direct port of
   SJF to coflows.
@@ -23,13 +24,9 @@ from typing import Callable
 
 from ..config import SimulationConfig
 from ..simulator.flows import CoFlow
-from ..simulator.ratealloc import (
-    greedy_residual_rates,
-    madd_rates,
-    madd_rates_paths,
-)
 from ..simulator.state import ClusterState
 from .base import Allocation, Scheduler
+from .varys import madd_round
 
 #: Signature of a priority-key function: (coflow, state) → sort key.
 KeyFunc = Callable[[CoFlow, ClusterState], float]
@@ -52,36 +49,7 @@ class OrderedClairvoyantScheduler(Scheduler):
             key=lambda c: (self.priority_key(c, state),
                            c.arrival_time, c.coflow_id),
         )
-        ledger = self._round_ledger(state)
-        allocation = Allocation()
-        skipped: list[CoFlow] = []
-        paths = state.paths
-        for coflow in order:
-            flows = state.schedulable_flows(coflow, now)
-            if not flows:
-                continue
-            if paths is not None:
-                # Multi-tier topology: Γ and the committed rates must
-                # respect core links, not just host ports.
-                rates = madd_rates_paths(coflow, ledger, paths, flows=flows)
-            else:
-                rates = madd_rates(coflow, ledger, flows=flows)
-            if rates:
-                allocation.rates.update(rates)
-                allocation.scheduled_coflows.add(coflow.coflow_id)
-            else:
-                skipped.append(coflow)
-        if skipped:
-            wc_flows = [
-                f for c in skipped for f in state.schedulable_flows(c, now)
-            ]
-            extra = greedy_residual_rates(wc_flows, ledger)
-            if extra:
-                allocation.rates.update(extra)
-                allocation.work_conserved_coflows |= {
-                    f.coflow_id for f in wc_flows if f.flow_id in extra
-                }
-        return allocation
+        return madd_round(state, now, order, self._round_ledger(state))
 
 
 class ScfScheduler(OrderedClairvoyantScheduler):

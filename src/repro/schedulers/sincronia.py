@@ -11,9 +11,11 @@ dual pass:
    port to go **last**;
 3. scale down the loads of the remaining coflows on ``b`` and iterate.
 
-Flows are then admitted greedily in coflow order with MADD rates, exactly
-like the other clairvoyant baselines in this repository, so the comparison
-isolates the *ordering* policy.
+Flows are then admitted greedily in coflow order with MADD rates through
+the round the other clairvoyant baselines in this repository share
+(:func:`~repro.schedulers.varys.madd_round`), so the comparison isolates
+the *ordering* policy. BSSI orders by host-port loads; the committed rates
+also respect core-link capacity on a multi-tier topology.
 """
 
 from __future__ import annotations
@@ -22,13 +24,9 @@ from collections import defaultdict
 
 from ..config import SimulationConfig
 from ..simulator.flows import CoFlow
-from ..simulator.ratealloc import (
-    greedy_residual_rates,
-    madd_rates,
-    madd_rates_paths,
-)
 from ..simulator.state import ClusterState
 from .base import Allocation, Scheduler
+from .varys import madd_round
 
 
 def bssi_order(coflows: list[CoFlow]) -> list[CoFlow]:
@@ -102,33 +100,4 @@ class SincroniaScheduler(Scheduler):
 
     def schedule(self, state: ClusterState, now: float) -> Allocation:
         order = bssi_order(list(state.active_coflows))
-        ledger = self._round_ledger(state)
-        allocation = Allocation()
-        skipped: list[CoFlow] = []
-        paths = state.paths
-        for coflow in order:
-            flows = state.schedulable_flows(coflow, now)
-            if not flows:
-                continue
-            if paths is not None:
-                # BSSI keeps its host-port ordering; the committed rates
-                # additionally respect core-link capacity.
-                rates = madd_rates_paths(coflow, ledger, paths, flows=flows)
-            else:
-                rates = madd_rates(coflow, ledger, flows=flows)
-            if rates:
-                allocation.rates.update(rates)
-                allocation.scheduled_coflows.add(coflow.coflow_id)
-            else:
-                skipped.append(coflow)
-        if skipped:
-            leftovers = [
-                f for c in skipped for f in state.schedulable_flows(c, now)
-            ]
-            extra = greedy_residual_rates(leftovers, ledger)
-            if extra:
-                allocation.rates.update(extra)
-                allocation.work_conserved_coflows |= {
-                    f.coflow_id for f in leftovers if f.flow_id in extra
-                }
-        return allocation
+        return madd_round(state, now, order, self._round_ledger(state))

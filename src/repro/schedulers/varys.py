@@ -15,6 +15,10 @@ scheduling point it:
 
 The paper's Fig. 9 shows Saath — fully online — achieves speedups close to
 this offline scheduler.
+
+Steps 2–3 are :func:`madd_round`, which the other clairvoyant baselines
+(SCF/SRTF/LWTF in :mod:`repro.schedulers.offline`, Sincronia) share: each
+policy only builds its coflow order.
 """
 
 from __future__ import annotations
@@ -23,7 +27,9 @@ import math
 
 from ..config import SimulationConfig
 from ..simulator.flows import CoFlow
-from ..simulator.ratealloc import (
+# Only the *_rows forms are called; the object and *_paths names stay bound
+# because layerbench's traced run wraps the allocators named in this module.
+from ..simulator.ratealloc import (  # noqa: F401
     greedy_residual_rates,
     greedy_residual_rates_rows,
     madd_rates,
@@ -32,6 +38,42 @@ from ..simulator.ratealloc import (
 )
 from ..simulator.state import ClusterState
 from .base import Allocation, Scheduler
+
+
+def madd_round(state: ClusterState, now: float, order: list[CoFlow],
+               ledger) -> Allocation:
+    """One clairvoyant round: MADD rates in ``order``, then backfill.
+
+    Each coflow in turn gets MADD rates on the residual ``ledger`` over its
+    schedulable rows: Γ covers every link of its flows' paths, so on a
+    multi-tier topology the rates respect the true bottleneck. Coflows
+    fully blocked at some link (rare) are then backfilled greedily, in the
+    same order.
+    """
+    table = state.table
+    allocation = Allocation()
+    skipped: list[CoFlow] = []
+    for coflow in order:
+        rows = state.schedulable_rows(coflow, now)
+        if not rows:
+            continue
+        rates = madd_rates_rows(rows, table, ledger)
+        if rates:
+            allocation.rates.update(rates)
+            allocation.scheduled_coflows.add(coflow.coflow_id)
+        else:
+            skipped.append(coflow)
+    if skipped:
+        cid = table.coflow_id
+        fid = table.flow_id
+        wc_rows = [i for c in skipped for i in state.schedulable_rows(c, now)]
+        extra = greedy_residual_rates_rows(wc_rows, table, ledger)
+        if extra:
+            allocation.rates.update(extra)
+            allocation.work_conserved_coflows |= {
+                cid[i] for i in wc_rows if fid[i] in extra
+            }
+    return allocation
 
 
 class VarysSebfScheduler(Scheduler):
@@ -66,79 +108,14 @@ class VarysSebfScheduler(Scheduler):
 
     def schedule(self, state: ClusterState, now: float) -> Allocation:
         self._refresh_gamma_cache(state)
-        # On a multi-tier topology MADD's Γ covers every path link, so
-        # rates respect the true bottleneck (SEBF *ordering* keeps the
-        # paper's host-port Γ — the clairvoyant priority is a policy
-        # choice, the rate feasibility is not).
-        if state.rows_tracked():
-            return self._schedule_rows(state, now)
-        paths = state.paths
+        # SEBF *ordering* keeps the paper's host-port Γ on every fabric —
+        # the clairvoyant priority is a policy choice; MADD's rate
+        # feasibility (madd_round) covers every path link.
         order = sorted(
             state.active_coflows,
             key=lambda c: (self._gamma(c, state), c.arrival_time, c.coflow_id),
         )
-        ledger = self._round_ledger(state)
-        allocation = Allocation()
-        skipped: list[CoFlow] = []
-        for coflow in order:
-            flows = state.schedulable_flows(coflow, now)
-            if not flows:
-                continue
-            if paths is not None:
-                rates = madd_rates_paths(coflow, ledger, paths, flows=flows)
-            else:
-                rates = madd_rates(coflow, ledger, flows=flows)
-            if rates:
-                allocation.rates.update(rates)
-                allocation.scheduled_coflows.add(coflow.coflow_id)
-            else:
-                skipped.append(coflow)
-        # Backfill coflows fully blocked at some port (rare): greedy fill.
-        if skipped:
-            wc_flows = [
-                f for c in skipped for f in state.schedulable_flows(c, now)
-            ]
-            extra = greedy_residual_rates(wc_flows, ledger)
-            if extra:
-                allocation.rates.update(extra)
-                allocation.work_conserved_coflows |= {
-                    f.coflow_id for f in wc_flows if f.flow_id in extra
-                }
-        return allocation
-
-    def _schedule_rows(self, state: ClusterState, now: float) -> Allocation:
-        """Row-path round: SEBF order, MADD and backfill over table rows."""
-        order = sorted(
-            state.active_coflows,
-            key=lambda c: (self._gamma(c, state), c.arrival_time, c.coflow_id),
-        )
-        table = state.table
-        ledger = self._round_ledger(state)
-        allocation = Allocation()
-        skipped: list[CoFlow] = []
-        for coflow in order:
-            rows = state.schedulable_rows(coflow, now)
-            if not rows:
-                continue
-            rates = madd_rates_rows(rows, table, ledger)
-            if rates:
-                allocation.rates.update(rates)
-                allocation.scheduled_coflows.add(coflow.coflow_id)
-            else:
-                skipped.append(coflow)
-        if skipped:
-            cid = table.coflow_id
-            fid = table.flow_id
-            wc_rows = [
-                i for c in skipped for i in state.schedulable_rows(c, now)
-            ]
-            extra = greedy_residual_rates_rows(wc_rows, table, ledger)
-            if extra:
-                allocation.rates.update(extra)
-                allocation.work_conserved_coflows |= {
-                    cid[i] for i in wc_rows if fid[i] in extra
-                }
-        return allocation
+        return madd_round(state, now, order, self._round_ledger(state))
 
     def _gamma(self, coflow: CoFlow, state: ClusterState) -> float:
         """Effective bottleneck completion time at full port capacity.
@@ -156,30 +133,19 @@ class VarysSebfScheduler(Scheduler):
     def _compute_gamma(self, coflow: CoFlow, state: ClusterState) -> float:
         load: dict[int, float] = {}
         get = load.get
-        rows = state.pending_rows(coflow)
-        if rows is not None:
-            t = state.table
-            ft, vol, bs = t.finish_time, t.volume, t.bytes_sent
-            src_col, dst_col = t.src, t.dst
-            for i in rows:
-                if ft[i] is not None:
-                    continue
-                remaining = vol[i] - bs[i]
-                if remaining < 0.0:
-                    remaining = 0.0
-                src = src_col[i]
-                dst = dst_col[i]
-                load[src] = get(src, 0.0) + remaining
-                load[dst] = get(dst, 0.0) + remaining
-        else:
-            for f in state.pending_flows(coflow):
-                if f.finish_time is not None:
-                    continue
-                remaining = f.volume - f.bytes_sent
-                if remaining < 0.0:
-                    remaining = 0.0
-                load[f.src] = get(f.src, 0.0) + remaining
-                load[f.dst] = get(f.dst, 0.0) + remaining
+        t = state.table
+        ft, vol, bs = t.finish_time, t.volume, t.bytes_sent
+        src_col, dst_col = t.src, t.dst
+        for i in state.pending_rows(coflow):
+            if ft[i] is not None:
+                continue
+            remaining = vol[i] - bs[i]
+            if remaining < 0.0:
+                remaining = 0.0
+            src = src_col[i]
+            dst = dst_col[i]
+            load[src] = get(src, 0.0) + remaining
+            load[dst] = get(dst, 0.0) + remaining
         if not load:
             return 0.0
         if not state.capacity_override:

@@ -203,44 +203,6 @@ class PortLedger:
             raise CapacityViolationError(str(dst), new_used, cap)
         used[dst] = new_used if new_used < cap else cap
 
-    def fill_capped(self, src: int, dst: int, cap: float) -> float:
-        """Commit and return ``min(cap, residual(src), residual(dst))``.
-
-        One fused call for the per-port pass of queue-share allocators
-        (Aalo serves thousands of flows per round, so the residual/commit
-        call pair is material). Commits nothing and returns 0.0 when the
-        *receiver* is exhausted or ``cap <= 0``, and **-1.0** when the
-        sender itself has no residual — the sentinel lets a caller walking
-        one sender's flow list bail out without a second residual probe.
-        Usage updates apply the same at-capacity clamp as :meth:`commit`,
-        so the ledger state is bit-identical to
-        ``commit(src, dst, min(...))``; over-commit is impossible by
-        construction, so the violation check is skipped.
-        """
-        if self._metrics is not None:
-            self._metrics.inc("ledger.fill_capped")
-        used = self._used
-        capacity = self._capacity
-        cap_src = capacity[src]
-        cap_dst = capacity[dst]
-        rate = cap_src - used[src]
-        if rate <= 0:
-            return -1.0
-        other = cap_dst - used[dst]
-        if other < rate:
-            rate = other
-        if cap < rate:
-            rate = cap
-        if rate <= 0:
-            return 0.0
-        new_used = used[src] + rate
-        used[src] = new_used if new_used < cap_src else cap_src
-        new_used = used[dst] + rate
-        used[dst] = new_used if new_used < cap_dst else cap_dst
-        self._touched.add(src)
-        self._touched.add(dst)
-        return rate
-
     def fill(self, src: int, dst: int) -> float:
         """Commit and return ``min(residual(src), residual(dst))``.
 

@@ -13,9 +13,9 @@ active flow (``bytes_sent``, ``rate``, ``finish_time``, ``start_time``,
 ``dst``) lives in the struct-of-arrays
 :class:`~repro.simulator.state.FlowTable`, and the :class:`Flow` object is a
 thin *view*: the fields above are properties that read/write the table row
-the flow was adopted into. Detached flows (before activation, after their
-coflow completes, or in hand-built tests) carry the same state in shadow
-slots, so the object behaves identically either way. Attachment is an
+the flow was adopted into. Detached flows (before activation, or after
+their coflow completes) carry the same state in shadow slots, so the object
+behaves identically either way. Attachment is an
 engine-internal lifecycle (see ``FlowTable.adopt`` / ``evict``); policy and
 analysis code never needs to know which mode a flow is in.
 """

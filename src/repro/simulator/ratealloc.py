@@ -24,21 +24,21 @@ performing the *same arithmetic in the same order* (bit-identical outputs,
 asserted by the equivalence tests):
 
 * the ``*_rows`` form, taking table row indices plus the owning
-  :class:`~repro.simulator.state.FlowTable` — the production path of every
-  engine-driven round on either fabric. A row's path is
-  ``src, dst, link_a, link_b`` read straight off the table columns (core
-  links ``-1`` when absent, always on a big switch) and indexes the
-  ledger's dense per-link lists, with no attribute or dict dispatch in the
-  fill loops. With ``table.fastcore`` set each row form dispatches to its
-  compiled twin in :mod:`repro._fastcore`;
+  :class:`~repro.simulator.state.FlowTable` — the one production form:
+  every scheduling round runs on it, on either fabric, whether the
+  :class:`~repro.simulator.state.ClusterState` comes from the engine or is
+  built by hand. A row's path is ``src, dst, link_a, link_b`` read straight
+  off the table columns (core links ``-1`` when absent, always on a big
+  switch) and indexes the ledger's dense per-link lists, with no attribute
+  or dict dispatch in the fill loops. With ``table.fastcore`` set each row
+  form dispatches to its compiled twin in :mod:`repro._fastcore`;
 * the object form (``flows``: a sequence of :class:`Flow`), port-only —
-  the readable reference, and the form hand-assembled big-switch states
-  use;
+  the readable reference oracle the allocator fuzz pins the row forms to;
 * ``*_paths`` twins (:func:`max_min_fair_paths`, :func:`madd_rates_paths`,
   :func:`equal_rate_for_coflow_paths`) of the object forms that look each
-  pair's core links up in a ``PathMap`` — for hand-assembled path-aware
-  states and the object-only schedulers (offline, Sincronia). On a
-  big-switch map they are bit-identical to the port-only forms.
+  pair's core links up in a ``PathMap`` — the reference oracle for the
+  row forms on multi-tier path maps. On a big-switch map they are
+  bit-identical to the port-only forms.
 
 Walking a path, every form visits its links in the order sender, receiver,
 then core links, and commits with :meth:`LinkLedger.commit`'s arithmetic
@@ -782,9 +782,10 @@ def equal_rate_for_coflow_paths(
     ``residual(link) / n_link`` (``n_link`` = the coflow's schedulable
     flows crossing the link), and the coflow rate is the minimum cap over
     its flows. ``link_counts`` optionally supplies the per-link counts
-    over exactly ``flows`` (see
-    :meth:`~repro.simulator.state.ClusterState.link_counts`) — the minimum
-    over the same multiset of caps, so the two branches agree bitwise.
+    over exactly ``flows`` (as
+    :meth:`~repro.simulator.state.ClusterState.port_counts` returns them
+    on a path-aware state) — the minimum over the same multiset of caps,
+    so the two branches agree bitwise.
     Commits go through ``ledger.commit`` (path-charging on a
     :class:`~repro.simulator.topology.LinkLedger`). Bit-identical to the
     port-only form when no path crosses a core link.

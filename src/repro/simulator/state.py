@@ -28,7 +28,15 @@ Incremental scheduling support lives here too:
   groups and per-port pending-flow counts maintained incrementally from the
   engine's completion notifications, so rate allocators and admission checks
   work in O(groups)/O(ports) instead of recounting every flow each round
-  (:meth:`ClusterState.port_counts`, :meth:`ClusterState.flow_groups`).
+  (:meth:`ClusterState.port_counts`,
+  :meth:`ClusterState.pending_port_counts`).
+
+Every :class:`ClusterState` is *table-tracked*: the engine activates each
+coflow through :meth:`ClusterState.note_activated`, and a state built by
+hand activates the coflows passed in ``active_coflows`` the same way, so
+every scheduling round runs on table rows. A coflow lives in one flow table
+at a time; give each state or session its own copies
+(:func:`~repro.simulator.flows.clone_coflows`).
 
 Multi-tier topologies (see :mod:`repro.simulator.topology`) plug in here:
 a :class:`ClusterState` built with a topology that has core links runs in
@@ -38,8 +46,8 @@ activates, into the table's ``link_a`` / ``link_b`` columns;
 :class:`~repro.simulator.topology.LinkLedger`; and
 :meth:`ClusterState.port_counts` projects the flow-group compaction onto
 whole link paths for admission and equal-rate assignment. The row-form
-allocators read the link columns, so engine-driven rounds run on table
-rows (and the compiled kernels) on either fabric. The big-switch default
+allocators read the link columns, so every round runs on table rows (and
+the compiled kernels) on either fabric. The big-switch default
 (``topology=None``) keeps every link column at ``-1``.
 """
 
@@ -48,7 +56,7 @@ from __future__ import annotations
 from array import array
 from dataclasses import dataclass, field
 
-from ..errors import ConfigError
+from ..errors import ConfigError, SimulationError
 from .fabric import Fabric, PortLedger
 from .flows import CoFlow, Flow
 from .topology import LinkLedger, PathMap, Topology
@@ -64,7 +72,7 @@ class FlowTable:
     back into the view object's shadow storage and the row returns to the
     free list. Between those two instants the table is the single source of
     truth: the ``Flow`` view's mutable properties read and write these
-    arrays, so object-path and row-path consumers always agree.
+    arrays, so view readers and row-indexed consumers always agree.
 
     Index-lifetime rules:
 
@@ -215,8 +223,18 @@ class FlowTable:
         self._free.append(row)
 
     def adopt_coflow(self, coflow: CoFlow) -> list[int]:
-        """Adopt every flow of ``coflow``; rows align with ``flows`` order."""
+        """Adopt every flow of ``coflow``; rows align with ``flows`` order.
+
+        Raises :class:`~repro.errors.SimulationError` when the coflow is
+        live in another table: its rows there mean nothing here.
+        """
         if coflow._rows is not None:
+            if coflow._table is not self:
+                raise SimulationError(
+                    f"coflow {coflow.coflow_id} is live in another flow "
+                    f"table; give each session or cluster state its own "
+                    f"copies (clone_coflows)"
+                )
             return coflow._rows
         rows = [self.adopt(f, pos) for pos, f in enumerate(coflow.flows)]
         coflow._table = self
@@ -272,7 +290,11 @@ class SchedulingDelta:
 
 @dataclass
 class ClusterState:
-    """Snapshot handed to :meth:`repro.schedulers.base.Scheduler.schedule`."""
+    """Snapshot handed to :meth:`repro.schedulers.base.Scheduler.schedule`.
+
+    Coflows passed in ``active_coflows`` are activated at construction
+    (:meth:`note_activated`), exactly as the engine activates arrivals.
+    """
 
     fabric: Fabric
     #: Active coflows in arrival order (arrived, not yet finished, and with
@@ -310,21 +332,14 @@ class ClusterState:
     _pending_rows: dict[int, list[int]] = field(
         default_factory=dict, repr=False
     )
-    #: Lazy object-path pending cache for hand-assembled states that bypass
-    #: ``note_activated`` (may go stale; callers re-filter on finish_time).
-    _pending: dict[int, list[Flow]] = field(default_factory=dict, repr=False)
     _cached_ledger: PortLedger | None = field(default=None, repr=False)
     _cached_override: dict[int, float] | None = field(default=None, repr=False)
     #: coflow_id -> {port: number of pending flows touching it} (compaction).
     _port_counts: dict[int, dict[int, int]] = field(
         default_factory=dict, repr=False
     )
-    #: coflow_id -> {(src, dst): [pending rows]} (compaction, row path).
+    #: coflow_id -> {(src, dst): [pending rows]} (compaction).
     _group_rows: dict[int, dict[tuple[int, int], list[int]]] = field(
-        default_factory=dict, repr=False
-    )
-    #: coflow_id -> {(src, dst): [pending flows]} (hand-built fallback).
-    _groups: dict[int, dict[tuple[int, int], list[Flow]]] = field(
         default_factory=dict, repr=False
     )
     #: coflow_id -> max ``available_time`` over its flows (static bound used
@@ -340,18 +355,8 @@ class ClusterState:
         if (self.paths is None and self.topology is not None
                 and self.topology.num_core_links):
             self.paths = PathMap(self.topology)
-
-    # ---- topology ---------------------------------------------------------
-
-    @property
-    def path_aware(self) -> bool:
-        """True when the topology has core links, i.e. flow paths matter.
-
-        Table-tracked rounds need no branch on it (the row allocators read
-        the core-link columns); only hand-built states, which run on the
-        object path, must then use the ``*_paths`` allocator forms.
-        """
-        return self.paths is not None
+        for coflow in self.active_coflows:
+            self.note_activated(coflow)
 
     # ---- ledgers ----------------------------------------------------------
 
@@ -399,38 +404,28 @@ class ClusterState:
 
     # ---- flow queries -----------------------------------------------------
 
-    def rows_tracked(self) -> bool:
-        """True when every active coflow has an exact pending-row cache —
-        i.e. the whole round can run on table rows. Engine-driven states
-        always qualify; hand-assembled states that bypass
-        ``note_activated`` make schedulers fall back to the object path.
-        """
-        pending = self._pending_rows
-        for c in self.active_coflows:
-            if c.coflow_id not in pending:
-                return False
-        return True
-
     def pending_rows(self, coflow: CoFlow) -> list[int] | None:
         """Table rows of the coflow's pending flows, or ``None`` when the
-        coflow is not table-tracked (hand-assembled state).
+        coflow is not active.
 
         The returned list is the live cache — callers must not mutate it.
         """
         return self._pending_rows.get(coflow.coflow_id)
 
-    def schedulable_rows(self, coflow: CoFlow, now: float) -> list[int] | None:
-        """Row-path twin of :meth:`schedulable_flows` (same filter, same
-        order); ``None`` when the coflow is not table-tracked.
+    def schedulable_rows(self, coflow: CoFlow, now: float) -> list[int]:
+        """Table rows of the unfinished flows of active ``coflow`` whose
+        data is available at ``now``, in ``flows`` order.
+
+        Models §4.3 "un-availability of the data": the coordinator only
+        schedules flows that have accumulated data to send (local agents
+        piggyback availability onto their periodic flow statistics).
 
         Availability-clean coflows get the *live* pending-row cache —
         callers must treat the result as read-only and use it within the
         current scheduling round (the cache shrinks on the next completion).
         """
         cid = coflow.coflow_id
-        rows = self._pending_rows.get(cid)
-        if rows is None:
-            return None
+        rows = self._pending_rows[cid]
         # Inlined max_available_time (this runs once per coflow per round
         # across every scheduler): most workloads have no pipelined data,
         # so the static bound resolves the gate without a per-row pass.
@@ -444,30 +439,9 @@ class ClusterState:
         return [i for i in rows if avail[i] <= now]
 
     def schedulable_flows(self, coflow: CoFlow, now: float) -> list[Flow]:
-        """Unfinished flows of ``coflow`` whose data is available at ``now``.
-
-        Models §4.3 "un-availability of the data": the coordinator only
-        schedules flows that have accumulated data to send (local agents
-        piggyback availability onto their periodic flow statistics).
-        """
-        rows = self._pending_rows.get(coflow.coflow_id)
-        if rows is not None:
-            view = self.table.view
-            if (not self.respect_availability
-                    or self.max_available_time(coflow) <= now):
-                # Availability-clean: every pending flow has data; the row
-                # cache holds no finished flows, so it maps straight through.
-                return [view[i] for i in rows]
-            avail = self.table.available_time
-            return [view[i] for i in rows if avail[i] <= now]
-        pending = self.pending_flows(coflow)
-        if (not self.respect_availability
-                or self.max_available_time(coflow) <= now):
-            return [f for f in pending if f.finish_time is None]
-        return [
-            f for f in pending
-            if f.finish_time is None and f.available_time <= now
-        ]
+        """The :class:`Flow` views of :meth:`schedulable_rows`."""
+        view = self.table.view
+        return [view[i] for i in self.schedulable_rows(coflow, now)]
 
     def max_available_time(self, coflow: CoFlow) -> float:
         """Latest ``available_time`` across the coflow's flows (static).
@@ -510,49 +484,12 @@ class ClusterState:
         if counts is None:
             counts = {}
             get = counts.get
-            buckets = self._buckets(coflow)
-            if buckets is not None:
-                for (src, dst), rows in buckets.items():
-                    n = len(rows)
-                    counts[src] = get(src, 0) + n
-                    counts[dst] = get(dst, 0) + n
-            else:
-                for (src, dst), bucket in self.flow_groups(coflow).items():
-                    n = len(bucket)
-                    counts[src] = get(src, 0) + n
-                    counts[dst] = get(dst, 0) + n
+            for (src, dst), rows in self._buckets(coflow).items():
+                n = len(rows)
+                counts[src] = get(src, 0) + n
+                counts[dst] = get(dst, 0) + n
             self._port_counts[coflow.coflow_id] = counts
         return counts
-
-    def link_counts(self, coflow: CoFlow, now: float,
-                    flows: "list[Flow] | None" = None) -> dict[int, int]:
-        """Per-*link* schedulable-flow counts (path-aware compaction).
-
-        The path-aware twin of :meth:`port_counts`: each schedulable flow
-        contributes to its sender port, its receiver port and every core
-        link on its assigned path. Unlike :meth:`port_counts` this never
-        returns ``None`` — when some pending flow is availability-gated at
-        ``now`` the counts are computed over the exact schedulable subset
-        (uncached; pass ``flows`` to reuse an already-gathered
-        ``schedulable_flows(coflow, now)`` list instead of re-deriving
-        it); availability-clean coflows use a per-coflow cache maintained
-        incrementally from completion notifications. Only valid in
-        path-aware mode (``paths`` must be set).
-        """
-        if self.respect_availability and self.max_available_time(coflow) > now:
-            extra_links = self.paths.extra_links
-            counts: dict[int, int] = {}
-            get = counts.get
-            if flows is None:
-                flows = self.schedulable_flows(coflow, now)
-            for f in flows:
-                src, dst = f.src, f.dst
-                counts[src] = get(src, 0) + 1
-                counts[dst] = get(dst, 0) + 1
-                for link in extra_links(src, dst):
-                    counts[link] = get(link, 0) + 1
-            return counts
-        return self._pending_link_counts(coflow)
 
     def _pending_link_counts(self, coflow: CoFlow) -> dict[int, int]:
         """Per-link pending-flow counts over whole paths (cached; kept
@@ -562,15 +499,8 @@ class ClusterState:
         if cached is None:
             cached = {}
             get = cached.get
-            buckets = self._buckets(coflow)
-            if buckets is not None:
-                groups = {key: len(rows) for key, rows in buckets.items()}
-            else:
-                groups = {
-                    key: len(bucket)
-                    for key, bucket in self.flow_groups(coflow).items()
-                }
-            for (src, dst), n in groups.items():
+            for (src, dst), rows in self._buckets(coflow).items():
+                n = len(rows)
                 cached[src] = get(src, 0) + n
                 cached[dst] = get(dst, 0) + n
                 for link in extra_links(src, dst):
@@ -578,85 +508,24 @@ class ClusterState:
             self._link_counts[coflow.coflow_id] = cached
         return cached
 
-    def _buckets(
-        self, coflow: CoFlow
-    ) -> dict[tuple[int, int], list[int]] | None:
-        """Pending rows bucketed by ``(src, dst)``, or ``None`` when the
-        coflow is not table-tracked. Built lazily; maintained incrementally
-        by the engine's completion notifications; dropped after dynamics
-        (which may move flows across ports)."""
+    def _buckets(self, coflow: CoFlow) -> dict[tuple[int, int], list[int]]:
+        """Pending rows bucketed by ``(src, dst)``. Built lazily;
+        maintained incrementally by the engine's completion notifications;
+        dropped after dynamics (which may move flows across ports)."""
         cid = coflow.coflow_id
         buckets = self._group_rows.get(cid)
         if buckets is None:
-            rows = self._pending_rows.get(cid)
-            if rows is None:
-                return None
             buckets = {}
             t = self.table
             src, dst = t.src, t.dst
-            for i in rows:
+            for i in self._pending_rows[cid]:
                 buckets.setdefault((src[i], dst[i]), []).append(i)
             self._group_rows[cid] = buckets
         return buckets
 
-    def flow_groups(
-        self, coflow: CoFlow
-    ) -> dict[tuple[int, int], list[Flow]]:
-        """Pending flows bucketed by ``(src, dst)`` (flow-group compaction).
-
-        Object-path projection of :meth:`_buckets`; table-tracked coflows
-        materialise views on each call, so row-path consumers should use
-        the bucket sizes via :meth:`pending_port_counts` instead.
-        """
-        buckets = self._buckets(coflow)
-        if buckets is not None:
-            view = self.table.view
-            return {
-                key: [view[i] for i in rows]
-                for key, rows in buckets.items()
-            }
-        groups = self._groups.get(coflow.coflow_id)
-        if groups is None:
-            groups = {}
-            for f in self.pending_flows(coflow):
-                if f.finish_time is None:
-                    groups.setdefault((f.src, f.dst), []).append(f)
-            self._groups[coflow.coflow_id] = groups
-        return groups
-
-    def pending_flows(self, coflow: CoFlow) -> list[Flow]:
-        """The coflow's not-yet-finished flows.
-
-        Table-tracked coflows map the exact pending-row cache through the
-        view column; hand-built states fall back to a lazily-built object
-        list whose entries are a *superset* of the truly unfinished flows
-        (callers still filter on ``finish_time``), so a stale cache can only
-        cost time, never correctness.
-        """
-        rows = self._pending_rows.get(coflow.coflow_id)
-        if rows is not None:
-            view = self.table.view
-            return [view[i] for i in rows]
-        cached = self._pending.get(coflow.coflow_id)
-        if cached is None:
-            cached = [f for f in coflow.flows if f.finish_time is None]
-            self._pending[coflow.coflow_id] = cached
-        return cached
-
-    def active_flow_count(self) -> int:
-        return sum(
-            len(c.unfinished_flows()) for c in self.active_coflows
-        )
-
     def coflow(self, coflow_id: int) -> CoFlow:
         """Active coflow by id (maintained by the engine notifications)."""
-        try:
-            return self._by_id[coflow_id]
-        except KeyError:
-            for c in self.active_coflows:  # hand-built states
-                if c.coflow_id == coflow_id:
-                    return c
-            raise
+        return self._by_id[coflow_id]
 
     def port_capacity(self, port: int) -> float:
         return self.capacity_override.get(port, self.fabric.capacity(port))
@@ -708,44 +577,25 @@ class ClusterState:
     def note_flow_finished(self, flow: Flow) -> None:
         """One flow of an active coflow completed."""
         cid = flow.coflow_id
-        if flow._tbl is self.table:
-            row = flow._row
-            rows = self._pending_rows.get(cid)
-            if rows is not None:
+        row = flow._row
+        rows = self._pending_rows.get(cid)
+        if rows is not None:
+            try:
+                rows.remove(row)
+            except ValueError:
+                pass
+        t = self.table
+        src, dst = t.src[row], t.dst[row]
+        buckets = self._group_rows.get(cid)
+        if buckets is not None:
+            bucket = buckets.get((src, dst))
+            if bucket is not None:
                 try:
-                    rows.remove(row)
+                    bucket.remove(row)
                 except ValueError:
                     pass
-            t = self.table
-            src, dst = t.src[row], t.dst[row]
-            buckets = self._group_rows.get(cid)
-            if buckets is not None:
-                bucket = buckets.get((src, dst))
-                if bucket is not None:
-                    try:
-                        bucket.remove(row)
-                    except ValueError:
-                        pass
-                    if not bucket:
-                        del buckets[(src, dst)]
-        else:
-            src, dst = flow.src, flow.dst
-            pending = self._pending.get(cid)
-            if pending is not None:
-                try:
-                    pending.remove(flow)
-                except ValueError:
-                    pass
-            groups = self._groups.get(cid)
-            if groups is not None:
-                bucket = groups.get((src, dst))
-                if bucket is not None:
-                    try:
-                        bucket.remove(flow)
-                    except ValueError:
-                        pass
-                    if not bucket:
-                        del groups[(src, dst)]
+                if not bucket:
+                    del buckets[(src, dst)]
         counts = self._port_counts.get(cid)
         if counts is not None:
             for port in (src, dst):
@@ -776,11 +626,9 @@ class ClusterState:
         if coflow is not None:
             self.table.evict_coflow(coflow)
         self._pending_rows.pop(coflow_id, None)
-        self._pending.pop(coflow_id, None)
         self._port_counts.pop(coflow_id, None)
         self._link_counts.pop(coflow_id, None)
         self._group_rows.pop(coflow_id, None)
-        self._groups.pop(coflow_id, None)
         self._max_avail.pop(coflow_id, None)
         self.delta.completed.add(coflow_id)
         self.delta.flow_completed.discard(coflow_id)
@@ -807,7 +655,6 @@ class ClusterState:
         self._port_counts.clear()
         self._link_counts.clear()
         self._group_rows.clear()
-        self._groups.clear()
         if self.paths is not None:
             for rows in self._pending_rows.values():
                 self._resolve_links(rows)

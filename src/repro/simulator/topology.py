@@ -308,10 +308,10 @@ class PathMap:
     the selector's choice per pair (a pair's path is stable for the whole
     run, like a real fabric's per-connection ECMP hash) and carries the
     selector's state (the least-loaded counters). One map belongs to one
-    simulation — sharing it across runs would leak selector state. An
-    engine-driven :class:`~repro.simulator.state.ClusterState` queries
-    each pending flow's pair when its coflow activates, so stateful
-    selectors see pairs in activation order whatever the policy.
+    simulation — sharing it across runs would leak selector state. A
+    :class:`~repro.simulator.state.ClusterState` queries each pending
+    flow's pair when its coflow activates, so stateful selectors see pairs
+    in activation order whatever the policy.
 
     Selectors:
 
@@ -396,15 +396,15 @@ class LinkLedger(PortLedger):
     Extends the :class:`~repro.simulator.fabric.PortLedger` struct-of-
     arrays layout — ``capacity_list`` / ``used_list`` indexed by link id,
     with touched-set O(changed links) reset — to the topology's core links,
-    and overrides the three allocation primitives (:meth:`commit`,
-    :meth:`fill`, :meth:`fill_capped`) to charge a flow's *entire path*:
-    the host ports plus the core links the attached :class:`PathMap`
-    assigns to the ``(src, dst)`` pair. Schedulers and allocators that go
-    through these primitives therefore see the true bottleneck link with
-    no topology knowledge; the row-form allocators in
-    :mod:`repro.simulator.ratealloc` (and their compiled twins) replay the
-    same arithmetic directly on the dense lists, reading each flow's core
-    links from the flow table's ``link_a`` / ``link_b`` columns.
+    and overrides the two allocation primitives (:meth:`commit`,
+    :meth:`fill`) to charge a flow's *entire path*: the host ports plus the
+    core links the attached :class:`PathMap` assigns to the ``(src, dst)``
+    pair. The object-form reference allocators in
+    :mod:`repro.simulator.ratealloc` go through these primitives and so see
+    the true bottleneck link with no topology knowledge; the row forms the
+    schedulers call (and their compiled twins) replay the same arithmetic
+    directly on the dense lists, reading each flow's core links from the
+    flow table's ``link_a`` / ``link_b`` columns.
     """
 
     __slots__ = ("_topology", "_paths")
@@ -496,38 +496,6 @@ class LinkLedger(PortLedger):
         touched = self._touched
         for link in (src, dst, *extras):
             used[link] += rate
-            touched.add(link)
-        return rate
-
-    def fill_capped(self, src: int, dst: int, cap: float) -> float:
-        """Path-aware twin of :meth:`PortLedger.fill_capped`: the grant is
-        additionally bounded by every core link's residual (an exhausted
-        core link behaves like an exhausted receiver — 0.0, no commit);
-        the ``-1.0`` sender-exhausted sentinel is unchanged."""
-        if self._metrics is not None:
-            self._metrics.inc("ledger.fill_capped")
-        used = self._used
-        capacity = self._capacity
-        rate = capacity[src] - used[src]
-        if rate <= 0:
-            return -1.0
-        other = capacity[dst] - used[dst]
-        if other < rate:
-            rate = other
-        extras = self._paths.extra_links(src, dst)
-        for link in extras:
-            other = capacity[link] - used[link]
-            if other < rate:
-                rate = other
-        if cap < rate:
-            rate = cap
-        if rate <= 0:
-            return 0.0
-        touched = self._touched
-        for link in (src, dst, *extras):
-            new_used = used[link] + rate
-            link_cap = capacity[link]
-            used[link] = new_used if new_used < link_cap else link_cap
             touched.add(link)
         return rate
 

@@ -436,8 +436,16 @@ def test_flow_group_compaction_cache_consistency():
     # ... exact once every flow is available.
     counts = state.port_counts(coflow, now=5.0)
     assert counts == {0: 2, rcv(1): 2, 1: 1, rcv(2): 1}
-    groups = state.flow_groups(coflow)
-    assert sorted(len(b) for b in groups.values()) == [1, 2]
+    t = state.table
+
+    def bucket_sizes():
+        groups: dict[tuple[int, int], int] = {}
+        for i in state.pending_rows(coflow):
+            key = (t.src[i], t.dst[i])
+            groups[key] = groups.get(key, 0) + 1
+        return sorted(groups.values())
+
+    assert bucket_sizes() == [1, 2]
 
     # A completion shrinks the bucket and the counts in lockstep.
     victim = coflow.flows[0]
@@ -446,10 +454,10 @@ def test_flow_group_compaction_cache_consistency():
     assert state.port_counts(coflow, now=5.0) == {
         0: 1, rcv(1): 1, 1: 1, rcv(2): 1
     }
-    assert sorted(len(b) for b in state.flow_groups(coflow).values()) == [1, 1]
+    assert bucket_sizes() == [1, 1]
     # Counts always mirror a fresh recount of the pending set.
     recount: dict[int, int] = {}
-    for f in state.pending_flows(coflow):
-        recount[f.src] = recount.get(f.src, 0) + 1
-        recount[f.dst] = recount.get(f.dst, 0) + 1
+    for i in state.pending_rows(coflow):
+        for port in (t.src[i], t.dst[i]):
+            recount[port] = recount.get(port, 0) + 1
     assert recount == state.pending_port_counts(coflow)

@@ -15,12 +15,16 @@ from __future__ import annotations
 import pytest
 
 from repro.config import SimulationConfig
+from repro.errors import SimulationError
 from repro.schedulers.base import Allocation
 from repro.schedulers.registry import make_scheduler
 from repro.simulator.engine import Simulator
 from repro.simulator.fabric import Fabric
 from repro.simulator.flows import Flow, make_coflow
+from repro.simulator.scenario import Scenario
+from repro.simulator.session import SimulationSession
 from repro.simulator.state import ClusterState, FlowTable
+from repro.simulator.topology import LeafSpineTopology
 
 
 def _coflow(cid, n_flows, *, machines=4, fid_start=0, volume=100.0):
@@ -130,6 +134,35 @@ class TestAdoptEvict:
         # Adopting again is a no-op returning the same rows.
         assert table.adopt_coflow(c) == rows
 
+    def test_coflow_live_in_another_session_is_refused(self):
+        """Two sessions stepped over the same coflow objects: the second
+        table must not map the shared coflow onto its own rows (which
+        hold the other coflow's flows)."""
+        fabric = Fabric(num_machines=4, port_rate=1e3)
+        rcv = fabric.receiver_port
+        shared = make_coflow(1, 0.0, [(0, rcv(1), 100.0), (1, rcv(2), 100.0)],
+                             flow_id_start=10)
+        other = make_coflow(2, 0.0, [(2, rcv(3), 100.0), (3, rcv(0), 100.0)],
+                            flow_id_start=20)
+        cfg = SimulationConfig()
+        first = SimulationSession(fabric, make_scheduler("saath", cfg), cfg,
+                                  scenario=Scenario.from_coflows([shared]))
+        first.step()
+        assert shared._table is first.state.table
+        second = SimulationSession(
+            fabric, make_scheduler("saath", cfg), cfg,
+            scenario=Scenario.from_coflows([other, shared]),
+        )
+        with pytest.raises(SimulationError, match="clone_coflows"):
+            second.step()
+
+    def test_handbuilt_states_cannot_share_coflows(self):
+        coflows = [_coflow(1, 2), _coflow(2, 2, fid_start=10)]
+        fabric = Fabric(num_machines=4, port_rate=1e3)
+        ClusterState(fabric=fabric, active_coflows=coflows)
+        with pytest.raises(SimulationError, match="clone_coflows"):
+            ClusterState(fabric=fabric, active_coflows=coflows)
+
 
 class TestViewCoherence:
     def _sim(self):
@@ -198,7 +231,8 @@ class TestViewCoherence:
         state.note_activated(c)
         assert c._table is state.table
         assert state.pending_rows(c) == c._rows
-        assert state.rows_tracked()
+        assert all(state.pending_rows(x) is not None
+                   for x in state.active_coflows)
         # A flow completion shrinks the pending-row cache.
         victim = c.flows[1]
         victim.finish_time = 1.0
@@ -208,6 +242,28 @@ class TestViewCoherence:
         state.note_coflow_finished(1)
         assert c._rows is None
         assert state.pending_rows(c) is None
+
+    def test_handbuilt_state_is_table_tracked(self):
+        """Coflows passed to the constructor are activated like engine
+        arrivals: adopted, pending rows without finished flows, and core
+        links resolved on a path-aware state."""
+        fabric = Fabric(num_machines=8, port_rate=1e3)
+        topo = LeafSpineTopology(fabric, racks=4, spines=2, oversub=4.0)
+        a, b = _coflow(1, 3, machines=8), _coflow(2, 2, machines=8,
+                                                  fid_start=10)
+        a.flows[1].bytes_sent = 100.0
+        a.flows[1].finish_time = 0.5
+        state = ClusterState(fabric=fabric, active_coflows=[a, b],
+                             topology=topo)
+        for c in (a, b):
+            assert c._table is state.table
+            assert state.coflow(c.coflow_id) is c
+        assert state.pending_rows(a) == [a._rows[0], a._rows[2]]
+        assert state.pending_rows(b) == b._rows
+        t = state.table
+        for i in state.pending_rows(a) + state.pending_rows(b):
+            links = state.paths.extra_links(t.src[i], t.dst[i])
+            assert (t.link_a[i], t.link_b[i]) == (tuple(links) + (-1, -1))[:2]
 
     def test_detached_flow_property_roundtrip(self):
         f = Flow(flow_id=1, coflow_id=1, src=0, dst=5, volume=10.0)

@@ -28,11 +28,11 @@ must produce byte-identical CCTs, completion orders, reschedule counts and
 makespans. Workloads are deterministic functions of their seed, so any
 failure reproduces exactly.
 
-A second fuzz pins the row-path rate allocators to their object-path twins
-bit-for-bit (rates *and* resulting ledger state) — the schedulers pick the
-row path whenever the cluster state is table-tracked, so the twins must
-never drift. The path-aware allocator twins (``*_paths``) join the same
-fuzz with a big-switch path map: on paths with no core links they must be
+A second fuzz pins the row-path rate allocators, which every scheduling
+round runs on, to the object forms bit-for-bit (rates *and* resulting
+ledger state) — the object forms are the readable reference oracle. The
+path-aware allocator twins (``*_paths``) join the same fuzz with a
+big-switch path map: on paths with no core links they must be
 bit-identical to the port-only forms. The ``*-fastcore`` variants run the
 same trials with ``table.fastcore`` set, routing the row forms through the
 compiled kernels — they skip cleanly when the extension is not built.

@@ -16,8 +16,6 @@ The load-bearing invariants:
 
 from __future__ import annotations
 
-import math
-
 import pytest
 
 from repro.config import SimulationConfig
@@ -219,13 +217,6 @@ def test_link_ledger_fill_bounded_by_core_link(topo):
     ledger = LinkLedger(topo, paths)
     assert ledger.fill(src, dst) == 25.0  # uplink-capped, not 100
     assert ledger.used(src) == 25.0
-    # fill_capped: core-link exhaustion behaves like a full receiver (0.0,
-    # nothing committed), while an exhausted sender keeps the -1 sentinel.
-    assert ledger.fill_capped(src, dst, math.inf) == 0.0
-    ledger2 = LinkLedger(topo, paths)
-    assert ledger2.fill_capped(src, dst, 10.0) == 10.0
-    ledger2.commit(0, 9, 90.0)  # exhaust sender 0 (10 + 90 = 100)
-    assert ledger2.fill_capped(0, 9, 1.0) == -1.0
 
 
 def test_link_ledger_override_validation(topo):
@@ -248,12 +239,12 @@ def test_port_ledger_rejects_core_link_overrides(fabric):
 
 
 def test_state_path_aware_only_with_core_links(fabric, topo):
-    assert not ClusterState(fabric=fabric).path_aware
-    assert not ClusterState(
+    assert ClusterState(fabric=fabric).paths is None
+    assert ClusterState(
         fabric=fabric, topology=BigSwitchTopology(fabric)
-    ).path_aware
+    ).paths is None
     state = ClusterState(fabric=fabric, topology=topo)
-    assert state.path_aware
+    assert state.paths is not None
     assert isinstance(state.make_ledger(), LinkLedger)
     assert isinstance(state.acquire_ledger(), LinkLedger)
 
@@ -264,7 +255,7 @@ def test_link_counts_cover_core_links(fabric, topo):
     coflow = make_coflow(1, 0.0, [(0, 9, 100.0), (0, 15, 100.0)])
     state.active_coflows.append(coflow)
     state.note_activated(coflow)
-    counts = state.link_counts(coflow, now=0.0)
+    counts = state.port_counts(coflow, now=0.0)
     extras = state.paths.extra_links(0, 15)
     assert counts[0] == 2  # both flows send from port 0
     assert counts[9] == 1 and counts[15] == 1
@@ -273,7 +264,7 @@ def test_link_counts_cover_core_links(fabric, topo):
     flow = coflow.flows[1]
     flow.finish_time = 1.0
     state.note_flow_finished(flow)
-    counts = state.link_counts(coflow, now=2.0)
+    counts = state.port_counts(coflow, now=2.0)
     assert counts == {0: 1, 9: 1}
 
 
