@@ -13,12 +13,6 @@
  *     multiply-adds change intermediate roundings (see setup.py).
  *   - Python's `min(xs)` / `xs.index(m)` tie-break (first index achieving
  *     the minimum) is reproduced by a single scan updating on strict `<`.
- *   - Completion-heap pops depend only on the heap's *contents* (the pop
- *     sequence of a binary min-heap is a function of the stored multiset,
- *     and fully-equal entries are interchangeable), so this module's
- *     sift implementation does not need to replicate heapq's internal
- *     layout to stay bit-identical — only its ordering semantics, which
- *     are plain tuple `<`.
  *
  * Memory-layout contract: FlowTable numeric columns and the PortLedger
  * capacity/usage tables are array('d') / array('q') buffers (see
@@ -42,9 +36,6 @@
 
 /* Mirrors repro.simulator.fabric._CAPACITY_TOLERANCE. */
 static const double CAP_TOL = 1.0 + 1e-9;
-/* Mirror repro.simulator.session._HEAP_MARGIN_REL / _HEAP_MARGIN_ABS. */
-static const double HEAP_MARGIN_REL = 1e-9;
-static const double HEAP_MARGIN_ABS = 1e-12;
 
 /* CapacityViolationError, registered from repro._fastcore at import time
  * (a C extension cannot import repro.errors without a cycle). */
@@ -258,135 +249,6 @@ fail:
     PyMem_Free(keys);
     PyMem_Free(rows);
     return -1;
-}
-
-/* ---- completion-heap primitives ---------------------------------------
- * Entries are (lower bound: float, epoch: int, row: int) tuples ordered
- * by plain tuple `<` — exactly what heapq uses.  Layout independence of
- * results is argued in the module docstring above. */
-
-static int
-entry_lt(PyObject *a, PyObject *b)
-{
-    if (PyTuple_CheckExact(a) && PyTuple_CheckExact(b)
-        && PyTuple_GET_SIZE(a) > 0 && PyTuple_GET_SIZE(b) > 0) {
-        PyObject *a0 = PyTuple_GET_ITEM(a, 0);
-        PyObject *b0 = PyTuple_GET_ITEM(b, 0);
-        if (PyFloat_CheckExact(a0) && PyFloat_CheckExact(b0)) {
-            double x = PyFloat_AS_DOUBLE(a0);
-            double y = PyFloat_AS_DOUBLE(b0);
-            if (x < y)
-                return 1;
-            if (y < x)
-                return 0;
-        }
-    }
-    return PyObject_RichCompareBool(a, b, Py_LT);
-}
-
-/* list-swap helper keeping refcounts balanced. */
-static void
-heap_swap(PyObject *heap, Py_ssize_t a, Py_ssize_t b)
-{
-    PyObject *x = PyList_GET_ITEM(heap, a);
-    PyObject *y = PyList_GET_ITEM(heap, b);
-    PyList_SET_ITEM(heap, a, y);
-    PyList_SET_ITEM(heap, b, x);
-}
-
-static int
-heap_push(PyObject *heap, PyObject *item)
-{
-    if (PyList_Append(heap, item) < 0)
-        return -1;
-    Py_ssize_t pos = PyList_GET_SIZE(heap) - 1;
-    while (pos > 0) {
-        Py_ssize_t parent = (pos - 1) >> 1;
-        int lt = entry_lt(PyList_GET_ITEM(heap, pos),
-                          PyList_GET_ITEM(heap, parent));
-        if (lt < 0)
-            return -1;
-        if (!lt)
-            break;
-        heap_swap(heap, pos, parent);
-        pos = parent;
-    }
-    return 0;
-}
-
-/* Pop the minimum entry; returns a new reference (NULL on error).  The
- * caller must know the heap is non-empty. */
-static PyObject *
-heap_pop(PyObject *heap)
-{
-    Py_ssize_t n = PyList_GET_SIZE(heap);
-    PyObject *last = PyList_GET_ITEM(heap, n - 1);
-    Py_INCREF(last);
-    if (PyList_SetSlice(heap, n - 1, n, NULL) < 0) {
-        Py_DECREF(last);
-        return NULL;
-    }
-    n--;
-    if (n == 0)
-        return last; /* the root was the last element */
-    PyObject *ret = PyList_GET_ITEM(heap, 0);
-    Py_INCREF(ret);
-    PyList_SetItem(heap, 0, last); /* steals last's reference */
-    /* sift the new root down to a position where it beats both children */
-    Py_ssize_t pos = 0;
-    for (;;) {
-        Py_ssize_t child = 2 * pos + 1;
-        if (child >= n)
-            break;
-        if (child + 1 < n) {
-            int lt = entry_lt(PyList_GET_ITEM(heap, child + 1),
-                              PyList_GET_ITEM(heap, child));
-            if (lt < 0) {
-                Py_DECREF(ret);
-                return NULL;
-            }
-            if (lt)
-                child++;
-        }
-        int lt = entry_lt(PyList_GET_ITEM(heap, child),
-                          PyList_GET_ITEM(heap, pos));
-        if (lt < 0) {
-            Py_DECREF(ret);
-            return NULL;
-        }
-        if (!lt)
-            break;
-        heap_swap(heap, pos, child);
-        pos = child;
-    }
-    return ret;
-}
-
-/* Build and push a (bound, epoch, row) entry.  row_obj is borrowed. */
-static int
-heap_push_entry(PyObject *heap, double bound, int64_t epoch, PyObject *row_obj)
-{
-    PyObject *b = PyFloat_FromDouble(bound);
-    if (b == NULL)
-        return -1;
-    PyObject *e = PyLong_FromLongLong((long long)epoch);
-    if (e == NULL) {
-        Py_DECREF(b);
-        return -1;
-    }
-    PyObject *entry = PyTuple_New(3);
-    if (entry == NULL) {
-        Py_DECREF(b);
-        Py_DECREF(e);
-        return -1;
-    }
-    PyTuple_SET_ITEM(entry, 0, b);
-    PyTuple_SET_ITEM(entry, 1, e);
-    Py_INCREF(row_obj);
-    PyTuple_SET_ITEM(entry, 2, row_obj);
-    int r = heap_push(heap, entry);
-    Py_DECREF(entry);
-    return r;
 }
 
 /* ======================================================================
@@ -1183,22 +1045,20 @@ done:
     return raw;
 }
 
-/* scan_completions(running, vol, bs, rt, ft, ep, eps, now, seed, heap)
- *   -> (next_completion_or_None, no_completion_before, seeded)
- *   The full completion scan of _earliest_completion, optionally seeding
- *   the lazy heap. */
+/* scan_completions(running, vol, bs, rt, ft, eps, now)
+ *   -> (next_completion_or_None, no_completion_before)
+ *   The completion scan of _earliest_completion. */
 static PyObject *
 scan_completions(PyObject *self, PyObject *args)
 {
-    PyObject *running, *vol_o, *bs_o, *rt_o, *ft, *ep_o, *heap;
+    PyObject *running, *vol_o, *bs_o, *rt_o, *ft;
     double eps, now;
-    int seed;
-    if (!PyArg_ParseTuple(args, "OOOOOOddpO", &running, &vol_o, &bs_o,
-                          &rt_o, &ft, &ep_o, &eps, &now, &seed, &heap))
+    if (!PyArg_ParseTuple(args, "OOOOOdd", &running, &vol_o, &bs_o, &rt_o,
+                          &ft, &eps, &now))
         return NULL;
-    if (!PyList_CheckExact(ft) || !PyList_Check(heap)) {
+    if (!PyList_CheckExact(ft)) {
         PyErr_SetString(PyExc_TypeError,
-                        "fastcore: finish_time/heap must be lists");
+                        "fastcore: finish_time must be a list");
         return NULL;
     }
 
@@ -1208,9 +1068,8 @@ scan_completions(PyObject *self, PyObject *args)
     double *bs = vol ? bufs_get(&B, bs_o, 'd', NULL, "table.bytes_sent")
                      : NULL;
     double *rt = bs ? bufs_get(&B, rt_o, 'd', NULL, "table.rate") : NULL;
-    int64_t *ep = rt ? bufs_get(&B, ep_o, 'q', NULL, "table.epoch") : NULL;
-    if (ep == NULL || PyList_GET_SIZE(ft) < ncols) {
-        if (ep != NULL)
+    if (rt == NULL || PyList_GET_SIZE(ft) < ncols) {
+        if (rt != NULL)
             PyErr_SetString(PyExc_ValueError,
                             "fastcore: finish_time shorter than columns");
         bufs_release(&B);
@@ -1234,12 +1093,7 @@ scan_completions(PyObject *self, PyObject *args)
         double remaining = vol[i] - bs[i];
         double rate = rt[i];
         if (remaining <= eps || (rate > 0.0 && remaining <= rate * 1e-8)) {
-            if (seed) { /* partial seed; retry next event */
-                if (PyList_SetSlice(heap, 0, PyList_GET_SIZE(heap), NULL)
-                    < 0)
-                    goto done;
-            }
-            result = Py_BuildValue("(ddO)", now, now, Py_False);
+            result = Py_BuildValue("(dd)", now, now);
             goto done;
         }
         if (rate > 0.0) {
@@ -1251,12 +1105,6 @@ scan_completions(PyObject *self, PyObject *args)
             double pred = (remaining - slack) / rate;
             if (pred < pred_min)
                 pred_min = pred;
-            if (seed) {
-                double bound = now + pred - fabs(pred) * HEAP_MARGIN_REL
-                               - HEAP_MARGIN_ABS;
-                if (heap_push_entry(heap, bound, ep[i], keys[k]) < 0)
-                    goto done;
-            }
         }
     }
     {
@@ -1264,223 +1112,13 @@ scan_completions(PyObject *self, PyObject *args)
                          ? now + pred_min - fabs(pred_min) * 1e-12 - 1e-15
                          : INFINITY;
         if (isfinite(best))
-            result = Py_BuildValue("(ddO)", now + best, ncb,
-                                   seed ? Py_True : Py_False);
-        else
-            result = Py_BuildValue("(OdO)", Py_None, ncb,
-                                   seed ? Py_True : Py_False);
-    }
-done:
-    PyMem_Free(keys);
-    PyMem_Free(rows);
-    bufs_release(&B);
-    return result;
-}
-
-/* heap_completion(running, vol, bs, rt, ft, ep, eps, now, heap, unheaped)
- *   -> (next_completion_or_None, no_completion_before)
- *   The lazy-heap completion lookout of _heap_completion: re-scan rows
- *   rescheduled since the last event (re-heaping them), then pop entries
- *   whose lower bound beats the provisional best and recompute those few
- *   rows exactly. */
-static PyObject *
-heap_completion_fn(PyObject *self, PyObject *args)
-{
-    PyObject *running, *vol_o, *bs_o, *rt_o, *ft, *ep_o, *heap, *unheaped;
-    double eps, now;
-    if (!PyArg_ParseTuple(args, "OOOOOOddOO", &running, &vol_o, &bs_o,
-                          &rt_o, &ft, &ep_o, &eps, &now, &heap, &unheaped))
-        return NULL;
-    if (!PyList_CheckExact(ft) || !PyList_Check(heap)
-        || !PyDict_Check(unheaped) || !PyDict_Check(running)) {
-        PyErr_SetString(PyExc_TypeError,
-                        "fastcore: bad container types for heap_completion");
-        return NULL;
-    }
-
-    bufs B = {.n = 0};
-    Py_ssize_t ncols;
-    double *vol = bufs_get(&B, vol_o, 'd', &ncols, "table.volume");
-    double *bs = vol ? bufs_get(&B, bs_o, 'd', NULL, "table.bytes_sent")
-                     : NULL;
-    double *rt = bs ? bufs_get(&B, rt_o, 'd', NULL, "table.rate") : NULL;
-    int64_t *ep = rt ? bufs_get(&B, ep_o, 'q', NULL, "table.epoch") : NULL;
-    if (ep == NULL || PyList_GET_SIZE(ft) < ncols) {
-        if (ep != NULL)
-            PyErr_SetString(PyExc_ValueError,
-                            "fastcore: finish_time shorter than columns");
-        bufs_release(&B);
-        return NULL;
-    }
-
-    PyObject *result = NULL;
-    char *seen = NULL;
-    struct repush_entry {
-        double bound;
-        int64_t epoch;
-        PyObject *row; /* borrowed from a popped entry until repushed */
-    } *repush = NULL;
-    PyObject **owned = NULL; /* popped entries owned until repush done */
-    Py_ssize_t n_repush = 0, n_owned = 0, cap_repush = 0;
-    double best = INFINITY;
-
-    if (PyDict_GET_SIZE(unheaped) > 0) {
-        Py_ssize_t pos = 0;
-        PyObject *key, *val;
-        while (PyDict_Next(unheaped, &pos, &key, &val)) {
-            Py_ssize_t i = as_row(key, ncols, "unheaped");
-            if (i < 0)
-                goto done;
-            if (PyList_GET_ITEM(ft, i) != Py_None)
-                continue;
-            double remaining = vol[i] - bs[i];
-            double rate = rt[i];
-            if (remaining <= eps
-                || (rate > 0.0 && remaining <= rate * 1e-8)) {
-                /* unheaped rows are re-examined next event; do not clear */
-                result = Py_BuildValue("(dd)", now, now);
-                goto done;
-            }
-            if (rate > 0.0) {
-                double tt = now + remaining / rate;
-                if (tt < best)
-                    best = tt;
-                double s8 = rate * 1e-8;
-                double slack = eps > s8 ? eps : s8;
-                double pred = (remaining - slack) / rate;
-                double bound = now + pred - fabs(pred) * HEAP_MARGIN_REL
-                               - HEAP_MARGIN_ABS;
-                if (heap_push_entry(heap, bound, ep[i], key) < 0)
-                    goto done;
-            }
-        }
-        PyDict_Clear(unheaped);
-    }
-
-    seen = PyMem_New(char, ncols > 0 ? ncols : 1);
-    if (seen == NULL) {
-        PyErr_NoMemory();
-        goto done;
-    }
-    memset(seen, 0, (size_t)(ncols > 0 ? ncols : 1));
-
-    while (PyList_GET_SIZE(heap) > 0) {
-        PyObject *top = PyList_GET_ITEM(heap, 0);
-        if (!PyTuple_CheckExact(top) || PyTuple_GET_SIZE(top) != 3) {
-            PyErr_SetString(PyExc_TypeError,
-                            "fastcore: malformed heap entry");
-            goto done;
-        }
-        PyObject *b0 = PyTuple_GET_ITEM(top, 0);
-        double top_bound = PyFloat_AsDouble(b0);
-        if (top_bound == -1.0 && PyErr_Occurred())
-            goto done;
-        if (!(top_bound < best))
-            break;
-        PyObject *entry = heap_pop(heap);
-        if (entry == NULL)
-            goto done;
-        /* track ownership so early exits can repush/decref */
-        if (n_owned == cap_repush) {
-            Py_ssize_t nc = cap_repush ? cap_repush * 2 : 16;
-            struct repush_entry *nr =
-                PyMem_Resize(repush, struct repush_entry, nc);
-            PyObject **no_ = owned
-                ? PyMem_Resize(owned, PyObject *, nc)
-                : PyMem_New(PyObject *, nc);
-            if (nr == NULL || no_ == NULL) {
-                if (nr != NULL)
-                    repush = nr;
-                if (no_ != NULL)
-                    owned = no_;
-                Py_DECREF(entry);
-                PyErr_NoMemory();
-                goto done;
-            }
-            repush = nr;
-            owned = no_;
-            cap_repush = nc;
-        }
-        PyObject *row_obj = PyTuple_GET_ITEM(entry, 2);
-        Py_ssize_t i = as_row(row_obj, ncols, "heap");
-        if (i < 0) {
-            Py_DECREF(entry);
-            goto done;
-        }
-        long long entry_epoch = PyLong_AsLongLong(PyTuple_GET_ITEM(entry, 1));
-        if (entry_epoch == -1 && PyErr_Occurred()) {
-            Py_DECREF(entry);
-            goto done;
-        }
-        int member = PyDict_Contains(running, row_obj);
-        if (member < 0) {
-            Py_DECREF(entry);
-            goto done;
-        }
-        if (!member || ep[i] != (int64_t)entry_epoch
-            || PyList_GET_ITEM(ft, i) != Py_None || seen[i]) {
-            Py_DECREF(entry); /* stale epoch / finished / refreshed */
-            continue;
-        }
-        double rate = rt[i];
-        if (rate <= 0.0) {
-            Py_DECREF(entry); /* silenced mid-window; re-heaped later */
-            continue;
-        }
-        double remaining = vol[i] - bs[i];
-        if (remaining <= eps || remaining <= rate * 1e-8) {
-            int bad = heap_push(heap, entry) < 0;
-            Py_DECREF(entry);
-            for (Py_ssize_t r = 0; !bad && r < n_repush; r++) {
-                if (heap_push_entry(heap, repush[r].bound, repush[r].epoch,
-                                    repush[r].row) < 0)
-                    bad = 1;
-            }
-            if (!bad)
-                result = Py_BuildValue("(dd)", now, now);
-            goto done;
-        }
-        double tt = now + remaining / rate;
-        if (tt < best)
-            best = tt;
-        double s8 = rate * 1e-8;
-        double slack = eps > s8 ? eps : s8;
-        double pred = (remaining - slack) / rate;
-        seen[i] = 1;
-        repush[n_repush].bound =
-            now + pred - fabs(pred) * HEAP_MARGIN_REL - HEAP_MARGIN_ABS;
-        repush[n_repush].epoch = (int64_t)entry_epoch;
-        repush[n_repush].row = row_obj; /* kept alive via owned[] */
-        n_repush++;
-        owned[n_owned++] = entry; /* keep entry (and row_obj) alive */
-    }
-    for (Py_ssize_t r = 0; r < n_repush; r++) {
-        if (heap_push_entry(heap, repush[r].bound, repush[r].epoch,
-                            repush[r].row) < 0)
-            goto done;
-    }
-    {
-        double ncb;
-        if (PyList_GET_SIZE(heap) > 0) {
-            PyObject *top = PyList_GET_ITEM(heap, 0);
-            ncb = PyFloat_AsDouble(PyTuple_GET_ITEM(top, 0));
-            if (ncb == -1.0 && PyErr_Occurred())
-                goto done;
-        }
-        else {
-            ncb = INFINITY;
-        }
-        if (isfinite(best))
-            result = Py_BuildValue("(dd)", best, ncb);
+            result = Py_BuildValue("(dd)", now + best, ncb);
         else
             result = Py_BuildValue("(Od)", Py_None, ncb);
     }
 done:
-    for (Py_ssize_t r = 0; r < n_owned; r++)
-        Py_DECREF(owned[r]);
-    PyMem_Free(owned);
-    PyMem_Free(repush);
-    PyMem_Free(seen);
+    PyMem_Free(keys);
+    PyMem_Free(rows);
     bufs_release(&B);
     return result;
 }
@@ -1608,30 +1246,28 @@ dict_pop_discard(PyObject *d, PyObject *key)
 }
 
 /* apply_diff(dropped, changed, new, row_of, fid, cid, ft, rt, st, avail,
- *            ep, running, counts, gated, unheaped, efficiency, now,
- *            track, bump) -> members_changed: bool
+ *            running, counts, gated, efficiency, now)
+ *   -> members_changed: bool
  *   The rate-application core of _apply_diff: zero dropped flows, then
  *   re-evaluate changed + availability-gated flows, maintaining the
- *   running set, per-coflow counts, gated/unheaped membership, epochs
- *   and start times exactly as the Python loop does. */
+ *   running set, per-coflow counts, gated membership and start times
+ *   exactly as the Python loop does. */
 static PyObject *
 apply_diff(PyObject *self, PyObject *args)
 {
     PyObject *dropped, *changed, *new, *row_of, *fid_o, *cid_o, *ft;
-    PyObject *rt_o, *st, *avail_o, *ep_o, *running, *counts, *gated;
-    PyObject *unheaped, *efficiency;
+    PyObject *rt_o, *st, *avail_o, *running, *counts, *gated, *efficiency;
     double now;
-    int track, bump;
-    if (!PyArg_ParseTuple(args, "OOOOOOOOOOOOOOOOdpp", &dropped, &changed,
+    if (!PyArg_ParseTuple(args, "OOOOOOOOOOOOOOd", &dropped, &changed,
                           &new, &row_of, &fid_o, &cid_o, &ft, &rt_o, &st,
-                          &avail_o, &ep_o, &running, &counts, &gated,
-                          &unheaped, &efficiency, &now, &track, &bump))
+                          &avail_o, &running, &counts, &gated, &efficiency,
+                          &now))
         return NULL;
     if (!PyList_CheckExact(ft) || !PyList_CheckExact(st)
         || !PyList_Check(changed) || !PyDict_Check(row_of)
         || !PyDict_Check(new) || !PyDict_Check(running)
         || !PyDict_Check(counts) || !PyDict_Check(gated)
-        || !PyDict_Check(unheaped) || !PyDict_Check(efficiency)) {
+        || !PyDict_Check(efficiency)) {
         PyErr_SetString(PyExc_TypeError,
                         "fastcore: bad container types for apply_diff");
         return NULL;
@@ -1646,11 +1282,9 @@ apply_diff(PyObject *self, PyObject *args)
     double *avail = rt ? bufs_get(&B, avail_o, 'd', NULL,
                                   "table.available_time")
                        : NULL;
-    int64_t *ep = avail ? bufs_get(&B, ep_o, 'q', NULL, "table.epoch")
-                        : NULL;
-    if (ep == NULL || PyList_GET_SIZE(ft) < ncols
+    if (avail == NULL || PyList_GET_SIZE(ft) < ncols
         || PyList_GET_SIZE(st) < ncols) {
-        if (ep != NULL)
+        if (avail != NULL)
             PyErr_SetString(PyExc_ValueError,
                             "fastcore: object columns shorter than table");
         bufs_release(&B);
@@ -1679,11 +1313,8 @@ apply_diff(PyObject *self, PyObject *args)
         Py_ssize_t i = as_row(i_obj, ncols, "row_of");
         if (i < 0)
             goto done;
-        if (PyList_GET_ITEM(ft, i) == Py_None && rt[i] != 0.0) {
+        if (PyList_GET_ITEM(ft, i) == Py_None && rt[i] != 0.0)
             rt[i] = 0.0;
-            if (bump)
-                ep[i] += 1;
-        }
         int member = PyDict_Contains(running, i_obj);
         if (member < 0)
             goto done;
@@ -1695,9 +1326,6 @@ apply_diff(PyObject *self, PyObject *args)
                 goto done;
         }
         if (PyDict_GET_SIZE(gated) > 0 && dict_pop_discard(gated, i_obj) < 0)
-            goto done;
-        if (PyDict_GET_SIZE(unheaped) > 0
-            && dict_pop_discard(unheaped, i_obj) < 0)
             goto done;
     }
     Py_CLEAR(iter);
@@ -1809,8 +1437,6 @@ apply_diff(PyObject *self, PyObject *args)
             rate = 0.0;
         if (rate != rt[i]) {
             rt[i] = rate;
-            if (bump)
-                ep[i] += 1;
             if (rate > 0.0) {
                 int member = PyDict_Contains(running, i_obj);
                 if (member < 0)
@@ -1822,9 +1448,6 @@ apply_diff(PyObject *self, PyObject *args)
                     if (counts_inc(counts, cid[i]) < 0)
                         goto done;
                 }
-                if (track
-                    && PyDict_SetItem(unheaped, i_obj, Py_None) < 0)
-                    goto done;
                 if (PyList_GET_ITEM(st, i) == Py_None) {
                     PyObject *t = PyFloat_FromDouble(now);
                     if (t == NULL)
@@ -1843,9 +1466,6 @@ apply_diff(PyObject *self, PyObject *args)
                     if (counts_dec(counts, cid[i]) < 0)
                         goto done;
                 }
-                if (PyDict_GET_SIZE(unheaped) > 0
-                    && dict_pop_discard(unheaped, i_obj) < 0)
-                    goto done;
             }
         }
     }
@@ -2405,9 +2025,7 @@ static PyMethodDef fastcore_methods[] = {
     {"scan_candidates", scan_candidates, METH_VARARGS,
      "Zero-width-step completion scan of _process_completions."},
     {"scan_completions", scan_completions, METH_VARARGS,
-     "Full completion scan of _earliest_completion (optional heap seed)."},
-    {"heap_completion", heap_completion_fn, METH_VARARGS,
-     "Lazy-heap completion lookout of _heap_completion."},
+     "Completion scan of _earliest_completion."},
     {"diff_changed", diff_changed, METH_VARARGS,
      "Changed-entry probe of _apply_diff."},
     {"apply_diff", apply_diff, METH_VARARGS,

@@ -144,12 +144,11 @@ class SimulationConfig:
       contention counts, residual-capacity ledgers) incrementally from the
       per-event :class:`~repro.simulator.state.SchedulingDelta` instead of
       rebuilding it from scratch every round, and let the engine apply each
-      allocation as a rate diff against the previous one, finding the next
-      completion through a lazy heap. ``False`` (CLI ``--no-incremental``)
-      is the reference oracle: full scheduler recompute, every allocation
-      applied in full, and a scan of every running flow for the next
-      completion. The two paths are exactly equivalent (asserted by the
-      equivalence test-suite).
+      allocation as a rate diff against the previous one. ``False`` (CLI
+      ``--no-incremental``) is the reference oracle: full scheduler
+      recompute and every allocation applied in full. Both find the next
+      completion with the same scan of the running flows, and they are
+      exactly equivalent (asserted by the equivalence test-suite).
     * ``fastcore`` — use the compiled C twins of the hot loops
       (:mod:`repro._fastcore`) when the extension is built. Bit-identical
       to the pure-Python rows path (asserted by the fuzz firewall);

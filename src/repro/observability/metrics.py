@@ -1,9 +1,9 @@
 """Metrics registry: counters, gauges, and value summaries.
 
 :class:`MetricsRegistry` is the single sink for quantitative run
-telemetry — epoch counts, heap rebuilds, fastcore vs Python kernel
-dispatch counts, ledger fill calls, queue transitions, sweep retry and
-timeout counts, per-port utilisation summaries. It is deliberately a
+telemetry — epoch counts, fastcore vs Python kernel dispatch counts,
+ledger fill calls, queue transitions, sweep retry and timeout counts,
+per-port utilisation summaries. It is deliberately a
 plain-data container (dicts of floats) so that it deep-copies with
 session snapshots, pickles across process pools, and serialises to JSON
 without any custom machinery.

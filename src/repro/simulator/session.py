@@ -52,32 +52,28 @@ dense integer *row* assigned at activation. Every loop below (byte
 accounting, completion lookout, allocation application) walks plain lists
 with integer indices; ``Flow`` objects are views used only at the
 object-facing edges (scheduler callbacks, results, dynamics). The running
-set is a row-keyed insertion-ordered dict, the completion heap carries rows,
-and the per-flow allocation epoch is a table column.
+set is a row-keyed insertion-ordered dict.
 
 **Allocation epochs.** Each applied allocation opens an *epoch*. A *full*
 apply rebuilds the running set and its per-coflow counts from every pending
 flow and keeps the round's raw ``flow_id → rate`` map as the baseline; every
 later round is applied as a *diff* against that map, touching only flows
 whose rate changed, while the running set is maintained in place.
-Completion lookout uses a lazy min-heap keyed by ``(predicted finish lower
-bound, epoch, row)``: entries from superseded epochs are popped and
-discarded lazily, and each event pops only the entries whose lower bound
-could beat the provisional minimum — for those few flows the exact
-per-event arithmetic of the full scan is replayed, so the chosen instant is
-bit-identical to the scan's (see :meth:`SimulationSession._heap_completion`
-for the monotonicity argument). When a round churns most rates (UC-TCP
-recomputes global fair shares every event), the heap would cost more than
-it saves, so the session falls back to the plain scan until churn subsides.
+
+**Completion lookout.** Between events the session needs one number: the
+next flow completion under the current rates. One scan of the running set
+finds it (:meth:`SimulationSession._earliest_completion`, compiled twin
+``scan_completions``). The same scan records the earliest instant any
+completion window can open, so the advance that follows moves bytes
+branchlessly and the completion pass skips its own scan.
 
 Full applies happen on the first round and after dynamics. They happen on
 *every* round in two cases: under a ``rate_perturbation`` hook (testbed
 mode redraws each flow's achieved rate at every application, so no diff
 baseline exists), and under ``config.incremental=False``. The latter is the
-reference oracle: full scheduler recompute, full apply, and a completion
-scan at every event, since the heap is only ever seeded after a diff. The
-equivalence suite asserts that it produces byte-identical
-:class:`SimulationResult`\\ s.
+reference oracle: full scheduler recompute and full apply, with the same
+completion scan as production. The equivalence suite asserts that it
+produces byte-identical :class:`SimulationResult`\\ s.
 """
 
 from __future__ import annotations
@@ -88,7 +84,6 @@ import math
 import pickle
 from copy import deepcopy
 from dataclasses import dataclass, field
-from heapq import heappop, heappush
 from itertools import chain
 from pathlib import Path
 from time import perf_counter_ns
@@ -102,7 +97,7 @@ from ..schedulers.base import Allocation, Scheduler
 from .events import Event, EventKind, EventQueue
 from .fabric import Fabric
 from .flows import CoFlow, Flow
-from .scenario import Scenario, validate_workload
+from .scenario import Scenario
 from .state import ClusterState
 from .topology import Topology
 
@@ -177,14 +172,6 @@ class SimulationResult:
         except KeyError:
             raise KeyError(f"coflow {coflow_id} not in result") from None
 
-
-#: Relative + absolute safety margin applied to heap lower bounds so that
-#: stepwise float drift in ``bytes_sent`` between the anchor event and the
-#: instant a completion actually fires can only cause an extra (exact)
-#: recomputation, never a missed completion. Deliberately much wider than
-#: the drift of any realistic event chain.
-_HEAP_MARGIN_REL = 1e-9
-_HEAP_MARGIN_ABS = 1e-12
 
 #: Session attributes that hold the live scenario stream. They are the one
 #: part of a session that cannot be deep-copied (a generator has no value
@@ -478,21 +465,10 @@ class SimulationSession:
         self._gated: dict[int, None] = {}
         #: coflow_id → index in ``state.active_coflows`` (candidate order).
         self._active_pos: dict[int, int] = {}
-        #: Lazy completion min-heap of (finish lower bound, epoch, row).
-        self._heap: list[tuple[float, int, int]] = []
-        #: Running rows whose rate changed since their last heap entry.
-        self._unheaped: dict[int, None] = {}
-        #: True once the heap covers every running flow (warm).
-        self._heap_live = False
-        #: Next _earliest_completion should seed the heap during its scan.
-        self._seed_pending = False
         #: Next application must be a full rebuild: the first round, after
         #: dynamics, and every round under rate perturbation or
         #: ``incremental=False`` (see :meth:`_apply_allocation`).
         self._full_apply_pending = True
-        #: Events seen since the last allocation application — the reseed
-        #: heuristic's estimate of how many events share one δ window.
-        self._events_since_apply = 0
 
         # ---- scenario stream (the external-event spine) ------------------
         #: Attached scenario, its live iterator, and the one pulled-but-not-
@@ -507,8 +483,7 @@ class SimulationSession:
         #: that bypass StreamScenario's own check).
         self._last_pulled = 0.0
         #: Memoised next-instant from a boundary probe (run_until) that the
-        #: following step() must consume instead of recomputing — keeps the
-        #: paused-and-resumed event sequence identical to a straight run.
+        #: following step() consumes instead of scanning again.
         self._pending_instant: float | None = None
 
         if scenario is not None:
@@ -738,9 +713,10 @@ class SimulationSession:
         return self
 
     def _peek_instant(self) -> float:
-        """Next instant without stepping; memoised so the step() that
-        follows consumes the identical value (``_next_instant`` feeds the
-        heap-reseed heuristic, which must tick once per processed step)."""
+        """Next instant without stepping. ``_next_instant`` only reads the
+        paused state (its one write, ``_no_completion_before``, comes out
+        the same on a rerun), so the memo just spares the step() that
+        follows a second completion scan."""
         if self._pending_instant is None:
             self._pending_instant = self._next_instant()
         return self._pending_instant
@@ -878,7 +854,6 @@ class SimulationSession:
                 scheduler.on_coflow_arrival(c, c.arrival_time)
             session.state.delta.mark_full()
             session._full_apply_pending = True
-            session._go_cold()
             session._request_resync(session._now)
             # Any memoised next-instant predates the forced resync.
             session._pending_instant = None
@@ -909,7 +884,6 @@ class SimulationSession:
 
     def _next_instant(self) -> float:
         """Earliest of: external event, flow completion, pending sync."""
-        self._events_since_apply += 1
         candidates: list[float] = []
         head = self._events.peek_time()
         lookahead = self._lookahead
@@ -926,59 +900,42 @@ class SimulationSession:
             return math.inf
         return max(min(candidates), self._now)
 
-    def _flow_complete(self, f: Flow) -> bool:
-        """Completion predicate with a rate-relative guard.
+    def _earliest_completion(self) -> float | None:
+        """Next completion instant under the current rates (None = none).
 
-        Absolute byte tolerance alone is not enough: a fast flow can be
-        left with ``remaining`` just above ``epsilon_bytes`` whose transfer
-        time (< 1e-12 s) underflows float64 time addition, freezing the
-        clock. Anything needing less than ~10 ns at its current rate is
+        The one completion lookout, run by production and by the
+        ``incremental=False`` oracle alike: a scan of the running set over
+        the table columns (integer indexing, no per-flow dispatch; the
+        compiled twin is ``scan_completions``). It also sets
+        ``_no_completion_before``, the earliest instant any running flow's
+        completion predicate can fire, from which the next advance and
+        completion pass know they may skip their predicate checks.
+
+        The predicate has a rate-relative guard. An absolute byte tolerance
+        alone is not enough: a fast flow can be left with ``remaining`` just
+        above ``epsilon_bytes`` whose transfer time (< 1e-12 s) underflows
+        float64 time addition, freezing the clock. Anything needing less
+        than ~10 ns at its current rate (``remaining <= rate * 1e-8``) is
         complete.
         """
-        remaining = f.volume - f.bytes_sent
-        if remaining <= self.config.epsilon_bytes:
-            return True
-        return f.rate > 0 and remaining <= f.rate * 1e-8
-
-    def _earliest_completion(self) -> float | None:
         if self._maybe_done:
             self._no_completion_before = self._now
             return self._now
-        if self._heap_live:
-            return self._heap_completion()
-        # Inlined _flow_complete over the table columns: this scan runs for
-        # every running flow at every event, so per-flow dispatch overhead
-        # is material — integer list indexing replaces every attribute
-        # read. When a seed was requested the same pass pushes a margined
-        # lower bound per row, warming the heap for subsequent events.
+        t = self._table
         if self._fastcore:
             if self._metrics is not None:
                 self._metrics.inc("kernel.scan_completions.fastcore")
-            t = self._table
-            ret, ncb, seeded = _fc.core.scan_completions(
+            ret, self._no_completion_before = _fc.core.scan_completions(
                 self._running, t.volume, t.bytes_sent, t.rate,
-                t.finish_time, t.epoch, self.config.epsilon_bytes,
-                self._now, self._seed_pending, self._heap,
+                t.finish_time, self.config.epsilon_bytes, self._now,
             )
-            if seeded:
-                self._seed_pending = False
-                self._heap_live = True
-                self._unheaped.clear()
-                if self._metrics is not None:
-                    self._metrics.inc("heap.seeds")
-            self._no_completion_before = ncb
             return ret
         if self._metrics is not None:
             self._metrics.inc("kernel.scan_completions.python")
-        t = self._table
         vol = t.volume
         bs = t.bytes_sent
         rt = t.rate
         ft = t.finish_time
-        ep = t.epoch
-        seed = self._seed_pending
-        heap = self._heap
-        push = heappush
         eps = self.config.epsilon_bytes
         best = math.inf
         pred_min = math.inf
@@ -990,8 +947,6 @@ class SimulationSession:
             rate = rt[i]
             if remaining <= eps or (rate > 0 and remaining <= rate * 1e-8):
                 self._no_completion_before = now
-                if seed:
-                    heap.clear()  # partial seed; retry next event
                 return now
             if rate > 0:
                 ttc = remaining / rate
@@ -1004,18 +959,6 @@ class SimulationSession:
                 pred = (remaining - slack) / rate
                 if pred < pred_min:
                     pred_min = pred
-                if seed:
-                    push(heap, (
-                        now + pred - abs(pred) * _HEAP_MARGIN_REL
-                        - _HEAP_MARGIN_ABS,
-                        ep[i], i,
-                    ))
-        if seed:
-            self._seed_pending = False
-            self._heap_live = True
-            self._unheaped.clear()
-            if self._metrics is not None:
-                self._metrics.inc("heap.seeds")
         # Conservative margin (a few ulps) so float noise can only make us
         # scan unnecessarily, never miss a completion.
         self._no_completion_before = (
@@ -1023,117 +966,6 @@ class SimulationSession:
             if math.isfinite(pred_min) else math.inf
         )
         return now + best if math.isfinite(best) else None
-
-    def _heap_completion(self) -> float | None:
-        """Next completion instant via the lazy heap (warm).
-
-        Exactness: the full scan returns ``now + min_f(remaining_f/rate_f)``
-        and float addition is monotone, so that equals
-        ``min_f(now + remaining_f/rate_f)``. Every running flow holds a heap
-        entry whose key lower-bounds its ``now + remaining/rate`` at any
-        later event of its epoch (margin covers stepwise float drift), so
-        popping entries while the top key beats the provisional best — and
-        recomputing those few flows with the scan's exact per-event
-        arithmetic — yields the same minimum as scanning everything. Rows
-        rescheduled since the last event sit in ``_unheaped`` and are
-        scanned exactly (and re-heaped) first; stale epochs are discarded
-        (eviction bumps a row's epoch, so a recycled row can never be
-        mistaken for its previous occupant).
-        """
-        if self._fastcore:
-            if self._metrics is not None:
-                self._metrics.inc("kernel.heap_completion.fastcore")
-            t = self._table
-            ret, ncb = _fc.core.heap_completion(
-                self._running, t.volume, t.bytes_sent, t.rate,
-                t.finish_time, t.epoch, self.config.epsilon_bytes,
-                self._now, self._heap, self._unheaped,
-            )
-            self._no_completion_before = ncb
-            return ret
-        if self._metrics is not None:
-            self._metrics.inc("kernel.heap_completion.python")
-        now = self._now
-        eps = self.config.epsilon_bytes
-        heap = self._heap
-        t = self._table
-        vol = t.volume
-        bs = t.bytes_sent
-        rt = t.rate
-        ft = t.finish_time
-        ep = t.epoch
-        push = heappush
-        running = self._running
-        best = math.inf  # absolute instant
-        if self._unheaped:
-            for i in self._unheaped:
-                if ft[i] is not None:
-                    continue
-                remaining = vol[i] - bs[i]
-                rate = rt[i]
-                if remaining <= eps or (
-                        rate > 0 and remaining <= rate * 1e-8):
-                    # Unheaped rows are re-examined next event, so bailing
-                    # out without clearing the set is safe.
-                    self._no_completion_before = now
-                    return now
-                if rate > 0:
-                    tt = now + remaining / rate
-                    if tt < best:
-                        best = tt
-                    slack = eps if eps > rate * 1e-8 else rate * 1e-8
-                    pred = (remaining - slack) / rate
-                    push(heap, (
-                        now + pred - abs(pred) * _HEAP_MARGIN_REL
-                        - _HEAP_MARGIN_ABS,
-                        ep[i], i,
-                    ))
-            self._unheaped.clear()
-        seen: set[int] = set()
-        repush: list[tuple[float, int, int]] = []
-        while heap and heap[0][0] < best:
-            entry = heappop(heap)
-            i = entry[2]
-            if (i not in running or ep[i] != entry[1]
-                    or ft[i] is not None or i in seen):
-                continue  # stale epoch / finished / already refreshed
-            rate = rt[i]
-            if rate <= 0:
-                continue  # silenced mid-window; reallocation re-heaps it
-            remaining = vol[i] - bs[i]
-            if remaining <= eps or remaining <= rate * 1e-8:
-                push(heap, entry)
-                for e in repush:
-                    push(heap, e)
-                self._no_completion_before = now
-                return now
-            tt = now + remaining / rate
-            if tt < best:
-                best = tt
-            slack = eps if eps > rate * 1e-8 else rate * 1e-8
-            pred = (remaining - slack) / rate
-            seen.add(i)
-            repush.append((
-                now + pred - abs(pred) * _HEAP_MARGIN_REL - _HEAP_MARGIN_ABS,
-                entry[1], i,
-            ))
-        for e in repush:
-            push(heap, e)
-        # Every running flow still has an entry, so the heap top bounds all
-        # completion windows from below (stale entries only push it lower,
-        # which is conservative: the completion pass may scan needlessly
-        # but can never be skipped wrongly).
-        self._no_completion_before = heap[0][0] if heap else math.inf
-        return best if math.isfinite(best) else None
-
-    def _go_cold(self) -> None:
-        """Drop the completion heap; fall back to full scans until reseeded."""
-        if self._metrics is not None and self._heap_live:
-            self._metrics.inc("heap.go_cold")
-        self._heap_live = False
-        self._seed_pending = False
-        self._heap.clear()
-        self._unheaped.clear()
 
     def _advance_to(self, t: float) -> None:
         dt = t - self._now
@@ -1324,7 +1156,7 @@ class SimulationSession:
         """Drop a finished coflow's rows from the allocation bookkeeping.
 
         The table rows themselves are evicted (values copied back into the
-        view objects, row recycled, epoch bumped) by
+        view objects, row recycled) by
         :meth:`ClusterState.note_coflow_finished`, which runs right after
         this cleanup. ``_running_count`` is updated so future
         ``_running_cids`` rebuilds are correct, but the current frozenset is
@@ -1337,11 +1169,9 @@ class SimulationSession:
         running = self._running
         counts = self._running_count
         gated = self._gated
-        unheaped = self._unheaped
         cid = coflow.coflow_id
         for i in rows:
             gated.pop(i, None)
-            unheaped.pop(i, None)
             if i in running:
                 del running[i]
                 left = counts.get(cid, 0) - 1
@@ -1388,10 +1218,9 @@ class SimulationSession:
                     self.state.note_dynamics()
                     # Rates/ports may have been rewritten under the diff
                     # baseline's feet (dynamics write through the views
-                    # into the table): drop the heap (scans are always
-                    # exact) and rebuild the baseline at the next round.
+                    # into the table): rebuild the baseline at the next
+                    # round.
                     self._full_apply_pending = True
-                    self._go_cold()
                 changed = True
             else:  # SYNC markers never enter the external queue
                 raise SimulationError(f"unexpected event kind {event.kind}")
@@ -1652,7 +1481,6 @@ class SimulationSession:
         for an available flow with a positive rate: a stateful hook such as
         :class:`~repro.simulator.testbed.RateJitter` draws in that order.
         """
-        self._go_cold()
         running = self._running
         running.clear()  # kept: same dict object
         counts: dict[int, int] = {}
@@ -1717,11 +1545,11 @@ class SimulationSession:
 
         Only flows whose raw rate changed — plus availability-gated flows,
         whose effective rate can change with time alone — are touched;
-        everyone else keeps rate, membership and heap entries. The diff is
-        found with C-level dict-view set operations over the raw
-        ``flow_id → rate`` maps, then applied through the table columns
-        (one ``flow_id → row`` lookup per changed flow), so a quiet round
-        costs O(changed) instead of O(active flows).
+        everyone else keeps rate and membership. The diff is found with
+        C-level dict-view set operations over the raw ``flow_id → rate``
+        maps, then applied through the table columns (one ``flow_id → row``
+        lookup per changed flow), so a quiet round costs O(changed) instead
+        of O(active flows).
         """
         new = allocation.rates
         prev = self._prev_rates
@@ -1745,38 +1573,15 @@ class SimulationSession:
         gated = self._gated
         running = self._running
         counts = self._running_count
-
-        # Heap policy: high-churn rounds (UC-TCP rewrites global fair
-        # shares every event) would push an entry per flow per event —
-        # costlier than the plain scan — so the heap goes cold when the
-        # churn fraction spikes. When several events share each
-        # application window (δ > 0 batching completions), one seed scan
-        # still amortises over the window's remaining events, so a reseed
-        # is requested; back-to-back applications stay cold.
-        churn = len(dropped) + len(changed)
         if self._metrics is not None:
             self._metrics.inc("epoch.diff")
-            self._metrics.observe("epoch.churn", churn)
+            self._metrics.observe("epoch.churn", len(dropped) + len(changed))
         if self._tracer is not None:
             self._tracer.instant(
                 "rate_diff", self._now, "epoch",
                 {"changed": len(changed), "dropped": len(dropped),
                  "running": len(running)},
             )
-        if churn * 2 > len(running) + 1:
-            self._go_cold()
-            if self._events_since_apply >= 2:
-                self._seed_pending = True
-        elif not self._heap_live:
-            self._seed_pending = True
-        self._events_since_apply = 0
-        track = self._heap_live
-        # Epoch bumps exist to invalidate heap entries; while the heap is
-        # cold it is empty (go_cold clears it, and a partial seed aborts by
-        # clearing again), so there is nothing to invalidate and the
-        # per-row counter churn can be skipped entirely. Entries seeded
-        # later capture whatever epoch values are current.
-        bump_epochs = track
 
         tbl = self._table
         if fastcore:
@@ -1785,9 +1590,8 @@ class SimulationSession:
             members_changed = _fc.core.apply_diff(
                 dropped, changed, new, tbl.row_of, tbl.flow_id,
                 tbl.coflow_id, tbl.finish_time, tbl.rate, tbl.start_time,
-                tbl.available_time, tbl.epoch, running, counts, gated,
-                self._unheaped, self.flow_efficiency, self._now, track,
-                bump_epochs,
+                tbl.available_time, running, counts, gated,
+                self.flow_efficiency, self._now,
             )
             self._prev_rates = new
             if members_changed:
@@ -1802,8 +1606,6 @@ class SimulationSession:
         rt = tbl.rate
         st = tbl.start_time
         avail = tbl.available_time
-        ep = tbl.epoch
-        unheaped = self._unheaped
         efficiency = self.flow_efficiency
         now = self._now
         members_changed = False
@@ -1814,8 +1616,6 @@ class SimulationSession:
                 continue  # evicted with its finished coflow
             if ft[i] is None and rt[i] != 0.0:
                 rt[i] = 0.0
-                if bump_epochs:
-                    ep[i] += 1
             if i in running:
                 del running[i]
                 members_changed = True
@@ -1827,8 +1627,6 @@ class SimulationSession:
                     del counts[cid]
             if gated:
                 gated.pop(i, None)
-            if unheaped:
-                unheaped.pop(i, None)
 
         if gated:
             # Unchanged raw rate, but the availability window may have
@@ -1864,16 +1662,12 @@ class SimulationSession:
                 rate = 0.0
             if rate != rt[i]:
                 rt[i] = rate
-                if bump_epochs:
-                    ep[i] += 1
                 if rate > 0:
                     if i not in running:
                         running[i] = None
                         members_changed = True
                         cid = cidc[i]
                         counts[cid] = counts.get(cid, 0) + 1
-                    if track:
-                        unheaped[i] = None
                     if st[i] is None:
                         st[i] = now
                 else:
@@ -1886,8 +1680,6 @@ class SimulationSession:
                             counts[cid] = left
                         else:
                             del counts[cid]
-                    if unheaped:
-                        unheaped.pop(i, None)
         self._prev_rates = new
         if members_changed:
             self._running_cids = frozenset(counts)
@@ -1907,10 +1699,6 @@ class SimulationSession:
             f"This usually means the scheduler allocated zero rate to every "
             f"remaining flow, or a DAG dependency cycle exists."
         )
-
-    @staticmethod
-    def _validate_workload(coflows: list[CoFlow]) -> None:
-        validate_workload(coflows)
 
 
 @dataclass

@@ -13,7 +13,7 @@ Incremental scheduling support lives here too:
   Each flow is assigned a dense integer row at activation (rows are recycled
   through a free list when a coflow finishes), and the fields the hot loops
   touch (``volume``, ``bytes_sent``, ``rate``, ``finish_time``, ports,
-  coflow id, allocation epoch) live in parallel lists indexed by that row.
+  coflow id) live in parallel lists indexed by that row.
   The engine, the rate allocators and the scheduler projections all operate
   on rows; :class:`~repro.simulator.flows.Flow` objects are thin views.
 * :class:`SchedulingDelta` — the dirty set accumulated by the engine between
@@ -76,11 +76,11 @@ class FlowTable:
 
     Index-lifetime rules:
 
-    * a live flow's row never changes (heap entries, running sets and
-      pending caches can hold raw row indices);
-    * ``epoch[row]`` is bumped on eviction, so stale references (e.g.
-      completion-heap entries keyed ``(bound, epoch, row)``) can never
-      alias the next occupant of a recycled row;
+    * a live flow's row never changes (running sets and pending caches can
+      hold raw row indices);
+    * a finished coflow's rows leave the running set and the per-coflow
+      caches before they return to the free list, so no raw index
+      outlives its occupant;
     * ``view[row]`` is ``None`` for free rows — the liveness predicate.
 
     **Memory layout.** The numeric columns are :class:`array.array` buffers
@@ -104,7 +104,7 @@ class FlowTable:
     __slots__ = (
         "flow_id", "coflow_id", "src", "dst", "link_a", "link_b", "volume",
         "bytes_sent", "rate", "finish_time", "start_time", "available_time",
-        "pos", "epoch", "view", "row_of", "_free", "fastcore",
+        "pos", "view", "row_of", "_free", "fastcore",
     )
 
     def __init__(self) -> None:
@@ -123,9 +123,6 @@ class FlowTable:
         #: Position of the flow within its coflow's ``flows`` list (the
         #: legacy same-instant completion tie-break).
         self.pos: array = array("q")
-        #: Allocation epoch: bumped whenever the applied rate changes and on
-        #: eviction (invalidates completion-heap entries; never reset).
-        self.epoch: array = array("q")
         #: The view object occupying each row (None = free row).
         self.view: list[Flow | None] = []
         #: flow_id -> row for every live flow.
@@ -137,6 +134,16 @@ class FlowTable:
         #: dispatch the hot kernels to :mod:`repro._fastcore`. Hand-built
         #: tables default to the pure-Python path.
         self.fastcore: bool = False
+
+    def __setstate__(self, state: tuple[None, dict]) -> None:
+        """Unpickle (checkpoints, deep copies), skipping retired columns.
+
+        Checkpoints written while the session kept a completion heap carry
+        an ``epoch`` column, which has no slot any more.
+        """
+        for name, value in state[1].items():
+            if name != "epoch":
+                setattr(self, name, value)
 
     def __len__(self) -> int:
         """Number of live (adopted, not yet evicted) flows."""
@@ -169,8 +176,6 @@ class FlowTable:
             self.start_time[i] = flow._start_time
             self.available_time[i] = flow.available_time
             self.pos[i] = pos
-            # epoch[i] keeps its post-eviction bump: strictly greater than
-            # any value a stale reference to this row can carry.
         else:
             i = len(self.flow_id)
             self.flow_id.append(flow.flow_id)
@@ -186,7 +191,6 @@ class FlowTable:
             self.start_time.append(flow._start_time)
             self.available_time.append(flow.available_time)
             self.pos.append(pos)
-            self.epoch.append(0)
             self.view.append(None)
         self.view[i] = flow
         self.row_of[flow.flow_id] = i
@@ -219,7 +223,6 @@ class FlowTable:
         f._row = -1
         self.view[row] = None
         del self.row_of[f.flow_id]
-        self.epoch[row] += 1  # stale (bound, epoch, row) refs can't alias
         self._free.append(row)
 
     def adopt_coflow(self, coflow: CoFlow) -> list[int]:

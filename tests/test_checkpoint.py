@@ -9,6 +9,7 @@ detected before the body is unpickled.
 from __future__ import annotations
 
 import json
+from array import array
 
 import pytest
 
@@ -21,6 +22,7 @@ from repro.simulator.session import (
     SessionSnapshot,
     SimulationSession,
 )
+from repro.simulator.state import FlowTable
 from repro.simulator.testbed import RateJitter
 from repro.workloads.synthetic import WorkloadGenerator, fb_like_spec
 
@@ -171,6 +173,38 @@ def test_pre_epoch_engine_checkpoint_resumes_byte_identical(perturbed,
         SessionSnapshot.load(snap.save(tmp_path / "pre-epoch.ckpt"))
     )
     assert isinstance(resumed._running, dict)
+    assert _fingerprint(resumed.run()) == full
+
+
+# ---- checkpoints from before the completion heap was removed ---------------
+
+
+@pytest.mark.parametrize("policy", ["saath", "uc-tcp"])
+def test_pre_heap_removal_checkpoint_resumes_byte_identical(policy, tmp_path,
+                                                            monkeypatch):
+    """Checkpoints saved while the session kept a lazy completion heap
+    carry a ``FlowTable.epoch`` column and the heap's session attributes;
+    they must still load and resume to the uninterrupted run's result."""
+    full = _fingerprint(_session(policy, *_workload()).run())
+    fabric, coflows = _workload()
+    session = _session(policy, fabric, coflows)
+    arrivals = sorted(c.arrival_time for c in coflows)
+    session.run_until(arrivals[len(arrivals) // 2])
+    snap = session.snapshot()
+    snap.payload.update(_heap=[], _unheaped={}, _heap_live=False,
+                        _seed_pending=True, _events_since_apply=0)
+
+    def with_epoch(table):
+        slots = {name: getattr(table, name) for name in FlowTable.__slots__}
+        slots["epoch"] = array("q", [0] * table.capacity)
+        return None, slots
+
+    monkeypatch.setattr(FlowTable, "__getstate__", with_epoch)
+    path = snap.save(tmp_path / "pre-heap-removal.ckpt")
+    monkeypatch.undo()
+    assert b"epoch" in path.read_bytes()
+    resumed = SimulationSession.restore(SessionSnapshot.load(path))
+    assert not hasattr(resumed._table, "epoch")
     assert _fingerprint(resumed.run()) == full
 
 

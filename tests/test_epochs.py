@@ -1,14 +1,13 @@
-"""Allocation-epoch engine tests: rate diffing, the lazy completion heap,
+"""Allocation-epoch engine tests: rate diffing, the completion scan,
 flow-group compaction, and the satellite fixes that ride along.
 
-The default engine applies allocations as rate diffs and finds completions
-through a lazy heap; it must be *exactly* equivalent to the reference
-oracle (``incremental=False``), which applies every allocation in full and
-scans for completions: identical ``SimulationResult``s and an identical
+The default engine applies allocations as rate diffs; it must be *exactly*
+equivalent to the reference oracle (``incremental=False``), which applies
+every allocation in full: identical ``SimulationResult``s and an identical
 running set after every allocation application. These tests assert that
 white-box invariant directly, exercise the edge cases the diffing logic must
 preserve (rate perturbation, dynamics rebuilds, δ > 0 sync, zero-volume
-arrivals, DAG releases), and unit-test heap staleness handling and the
+arrivals, DAG releases), and unit-test the completion scan and the
 ``max_min_fair`` rewrite against a reference implementation.
 """
 
@@ -200,42 +199,9 @@ def _hand_simulator(num_machines=2, **cfg_kw):
     return sim, fabric
 
 
-def test_completion_heap_discards_stale_epochs():
-    """Rate changes bump the flow's epoch; superseded heap entries must be
-    popped and discarded, and the returned instant must match the exact
-    per-event arithmetic for the *new* rate."""
-    sim, fabric = _hand_simulator()
-    rcv = fabric.receiver_port
-    coflow = make_coflow(1, 0.0, [(0, rcv(1), 100.0), (1, rcv(0), 100.0)],
-                         flow_id_start=0)
-    sim._activate(coflow)
-
-    # First application is a full rebuild (cold heap)...
-    sim._apply_allocation(Allocation(rates={0: 10.0, 1: 1.0}))
-    assert not sim._heap_live
-    # ... an unchanged re-application requests a seed ...
-    sim._apply_allocation(Allocation(rates={0: 10.0, 1: 1.0}))
-    assert sim._seed_pending
-    # ... and the next completion lookout seeds and goes warm.
-    assert sim._earliest_completion() == 100.0 / 10.0
-    assert sim._heap_live and len(sim._heap) == 2
-
-    # Halve flow 0's rate: its heap entry is now a stale epoch.
-    sim._apply_allocation(Allocation(rates={0: 5.0, 1: 1.0}))
-    assert sim._heap_live  # small churn keeps the heap warm
-    assert sim._table.row_of[0] in sim._unheaped
-    assert len(sim._heap) == 2  # stale entry still parked in the heap
-
-    # The lookout re-heaps the changed row, pops the stale entry (its old
-    # bound beats the provisional best) and discards it on epoch mismatch.
-    assert sim._earliest_completion() == 100.0 / 5.0
-    assert not sim._unheaped
-    epochs = sim._table.epoch
-    assert all(entry[1] == epochs[entry[2]] for entry in sim._heap)
-
-
-def test_completion_heap_matches_scan_after_progress():
-    """Warm-heap answers must equal the exact scan at later instants too."""
+def test_completion_scan_matches_exact_arithmetic_after_progress():
+    """The completion scan must replay the exact per-event arithmetic at
+    later instants too."""
     sim, fabric = _hand_simulator()
     rcv = fabric.receiver_port
     coflow = make_coflow(1, 0.0, [(0, rcv(1), 100.0), (1, rcv(0), 400.0)],
@@ -243,39 +209,11 @@ def test_completion_heap_matches_scan_after_progress():
     sim._activate(coflow)
     sim._apply_allocation(Allocation(rates={0: 10.0, 1: 10.0}))
     sim._apply_allocation(Allocation(rates={0: 10.0, 1: 10.0}))
-    assert sim._earliest_completion() == 10.0  # seeds the heap
+    assert sim._earliest_completion() == 10.0
     sim._advance_to(4.0)
     # Exact scan value at t=4: 4 + (100 - 40)/10 and 4 + (400 - 40)/10.
     expected = 4.0 + (100.0 - 40.0) / 10.0
     assert sim._earliest_completion() == expected
-
-
-def test_high_churn_goes_cold_and_recovers():
-    """A round that rewrites most rates must drop the heap (scan mode) and
-    reseed once churn subsides."""
-    sim, fabric = _hand_simulator(num_machines=4)
-    rcv = fabric.receiver_port
-    coflow = make_coflow(
-        1, 0.0,
-        [(0, rcv(1), 1e3), (1, rcv(2), 1e3), (2, rcv(3), 1e3),
-         (3, rcv(0), 1e3)],
-        flow_id_start=0,
-    )
-    sim._activate(coflow)
-    sim._apply_allocation(Allocation(rates={0: 1.0, 1: 1.0, 2: 1.0, 3: 1.0}))
-    sim._apply_allocation(Allocation(rates={0: 1.0, 1: 1.0, 2: 1.0, 3: 1.0}))
-    sim._earliest_completion()
-    assert sim._heap_live
-    # Rewrite every rate: cold, heap dropped.
-    sim._apply_allocation(Allocation(rates={0: 2.0, 1: 2.0, 2: 2.0, 3: 2.0}))
-    assert not sim._heap_live and not sim._heap
-    # Scan mode still answers exactly.
-    assert sim._earliest_completion() == 1e3 / 2.0
-    # A quiet round requests the reseed.
-    sim._apply_allocation(Allocation(rates={0: 2.0, 1: 2.0, 2: 2.0, 3: 2.0}))
-    assert sim._seed_pending
-    assert sim._earliest_completion() == 1e3 / 2.0
-    assert sim._heap_live and len(sim._heap) == 4
 
 
 def test_simulation_result_lookup_index():
