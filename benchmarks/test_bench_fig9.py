@@ -17,8 +17,8 @@ def test_fig9_speedup(benchmark, scale):
         "fig9 SMALL end-to-end: seed ~14.3s -> incremental core (PR 1) "
         "~6.5s -> allocation-epoch engine (PR 2) ~4.3s -> flat flow-table "
         "kernel (PR 3) ~3.4s -> compiled _fastcore kernels (PR 8) ~1.7s; "
-        "byte-identical output across generations (machine-readable "
-        "series: BENCH_history.json)"
+        "byte-identical output across generations (later changes are "
+        "measured per workload and layer by layerbench/)"
     )
 
     contended = scale is not ExperimentScale.TINY

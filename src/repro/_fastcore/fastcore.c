@@ -1245,6 +1245,29 @@ dict_pop_discard(PyObject *d, PyObject *key)
     return 0;
 }
 
+/* rate *= efficiency.get(flow_id, 1.0): the straggler scaling of both
+ * apply paths.  -1 with an exception set on failure. */
+static int
+scale_by_efficiency(PyObject *efficiency, int64_t flow_id, double *rate)
+{
+    PyObject *f = PyLong_FromLongLong((long long)flow_id);
+    if (f == NULL)
+        return -1;
+    PyObject *eff = PyDict_GetItemWithError(efficiency, f);
+    Py_DECREF(f);
+    double e = 1.0;
+    if (eff != NULL) {
+        e = PyFloat_AsDouble(eff);
+        if (e == -1.0 && PyErr_Occurred())
+            return -1;
+    }
+    else if (PyErr_Occurred()) {
+        return -1;
+    }
+    *rate *= e;
+    return 0;
+}
+
 /* apply_diff(dropped, changed, new, row_of, fid, cid, ft, rt, st, avail,
  *            running, counts, gated, efficiency, now)
  *   -> members_changed: bool
@@ -1413,24 +1436,9 @@ apply_diff(PyObject *self, PyObject *args)
                 if (PyDict_GET_SIZE(gated) > 0
                     && dict_pop_discard(gated, i_obj) < 0)
                     goto done;
-                if (PyDict_GET_SIZE(efficiency) > 0) {
-                    PyObject *f = PyLong_FromLongLong((long long)fid[i]);
-                    if (f == NULL)
-                        goto done;
-                    PyObject *eff = PyDict_GetItemWithError(efficiency, f);
-                    Py_DECREF(f);
-                    if (eff == NULL) {
-                        if (PyErr_Occurred())
-                            goto done;
-                        rate *= 1.0;
-                    }
-                    else {
-                        double e = PyFloat_AsDouble(eff);
-                        if (e == -1.0 && PyErr_Occurred())
-                            goto done;
-                        rate *= e;
-                    }
-                }
+                if (PyDict_GET_SIZE(efficiency) > 0
+                    && scale_by_efficiency(efficiency, fid[i], &rate) < 0)
+                    goto done;
             }
         }
         if (rate <= 0.0)
@@ -1476,6 +1484,217 @@ done:
     for (Py_ssize_t g = 0; g < 2 * n_gated; g++)
         Py_DECREF(gated_pairs[g]);
     PyMem_Free(gated_pairs);
+    bufs_release(&B);
+    return result;
+}
+
+/* rates.get(flow_id, 0.0) with a fresh Python-int key; -1.0 with an
+ * exception set on failure (real rates are never negative, so the caller
+ * can use the error indicator directly after PyErr_Occurred()). */
+static double
+rates_get(PyObject *rates, int64_t flow_id, int *err)
+{
+    PyObject *key = PyLong_FromLongLong((long long)flow_id);
+    if (key == NULL) {
+        *err = 1;
+        return 0.0;
+    }
+    PyObject *v = PyDict_GetItemWithError(rates, key);
+    Py_DECREF(key);
+    if (v == NULL) {
+        if (PyErr_Occurred())
+            *err = 1;
+        return 0.0;
+    }
+    double r = PyFloat_CheckExact(v) ? PyFloat_AS_DOUBLE(v)
+                                     : PyFloat_AsDouble(v);
+    if (r == -1.0 && PyErr_Occurred())
+        *err = 1;
+    return r;
+}
+
+/* apply_full_collect(row_lists, rates, fid, ft, rt, avail, gated,
+ *                    efficiency, now) -> (rows, rated)
+ *   The collect step of _apply_full_epoch (twin of session._collect_full):
+ *   walk one row sequence per active coflow, in order, skipping finished
+ *   rows.  Rows whose raw rate is positive but whose data is not yet
+ *   available go into `gated` and get rate 0; available rows are scaled
+ *   by their efficiency.  Rows left with a positive rate are returned with
+ *   that rate, in walk order; every other row gets rate 0. */
+static PyObject *
+apply_full_collect(PyObject *self, PyObject *args)
+{
+    PyObject *row_lists, *rates, *fid_o, *ft, *rt_o, *avail_o, *gated,
+             *efficiency;
+    double now;
+    if (!PyArg_ParseTuple(args, "OOOOOOOOd", &row_lists, &rates, &fid_o,
+                          &ft, &rt_o, &avail_o, &gated, &efficiency, &now))
+        return NULL;
+    if (!PyDict_Check(rates) || !PyList_CheckExact(ft)
+        || !PyDict_Check(gated) || !PyDict_Check(efficiency)) {
+        PyErr_SetString(PyExc_TypeError,
+                        "fastcore: bad container types for "
+                        "apply_full_collect");
+        return NULL;
+    }
+
+    bufs B = {.n = 0};
+    PyObject *result = NULL, *outer = NULL, *inner = NULL;
+    PyObject *rows = NULL, *rated = NULL;
+    Py_ssize_t ncols, n2, n3;
+    int64_t *fid = bufs_get(&B, fid_o, 'q', &ncols, "table.flow_id");
+    double *rt = fid ? bufs_get(&B, rt_o, 'd', &n2, "table.rate") : NULL;
+    double *avail = rt ? bufs_get(&B, avail_o, 'd', &n3,
+                                  "table.available_time")
+                       : NULL;
+    if (avail == NULL)
+        goto done;
+    if (n2 != ncols || n3 != ncols || PyList_GET_SIZE(ft) < ncols) {
+        PyErr_SetString(PyExc_ValueError,
+                        "fastcore: apply_full_collect column mismatch");
+        goto done;
+    }
+    outer = PySequence_Fast(row_lists,
+                            "fastcore: row lists must be a sequence");
+    rows = PyList_New(0);
+    rated = PyList_New(0);
+    if (outer == NULL || rows == NULL || rated == NULL)
+        goto done;
+    Py_ssize_t nl = PySequence_Fast_GET_SIZE(outer);
+    for (Py_ssize_t l = 0; l < nl; l++) {
+        inner = PySequence_Fast(PySequence_Fast_GET_ITEM(outer, l),
+                                "fastcore: rows must be a sequence");
+        if (inner == NULL)
+            goto done;
+        Py_ssize_t n = PySequence_Fast_GET_SIZE(inner);
+        PyObject **items = PySequence_Fast_ITEMS(inner);
+        for (Py_ssize_t k = 0; k < n; k++) {
+            PyObject *i_obj = items[k];
+            Py_ssize_t i = as_row(i_obj, ncols, "pending");
+            if (i < 0)
+                goto done;
+            if (PyList_GET_ITEM(ft, i) != Py_None)
+                continue;
+            int err = 0;
+            double rate = rates_get(rates, fid[i], &err);
+            if (err)
+                goto done;
+            if (rate > 0.0) {
+                if (avail[i] > now) {
+                    rate = 0.0;
+                    if (PyDict_SetItem(gated, i_obj, Py_None) < 0)
+                        goto done;
+                }
+                else if (PyDict_GET_SIZE(efficiency) > 0
+                         && scale_by_efficiency(efficiency, fid[i],
+                                                &rate) < 0)
+                    goto done;
+            }
+            if (rate > 0.0) {
+                PyObject *r = PyFloat_FromDouble(rate);
+                if (r == NULL)
+                    goto done;
+                int bad = PyList_Append(rows, i_obj) < 0
+                          || PyList_Append(rated, r) < 0;
+                Py_DECREF(r);
+                if (bad)
+                    goto done;
+            }
+            else {
+                rt[i] = 0.0;
+            }
+        }
+        Py_CLEAR(inner);
+    }
+    result = PyTuple_Pack(2, rows, rated);
+
+done:
+    Py_XDECREF(inner);
+    Py_XDECREF(outer);
+    Py_XDECREF(rows);
+    Py_XDECREF(rated);
+    bufs_release(&B);
+    return result;
+}
+
+/* apply_full_commit(rows, rated, cid, rt, st, running, counts, now)
+ *   -> None
+ *   The commit step of _apply_full_epoch (twin of session._commit_full):
+ *   write each row's rate (non-positive and NaN rates as 0.0) and add the
+ *   rows left running to `running` and `counts` in pair order, stamping
+ *   first start times. */
+static PyObject *
+apply_full_commit(PyObject *self, PyObject *args)
+{
+    PyObject *rows_in, *rated_in, *cid_o, *rt_o, *st, *running, *counts;
+    double now;
+    if (!PyArg_ParseTuple(args, "OOOOOOOd", &rows_in, &rated_in, &cid_o,
+                          &rt_o, &st, &running, &counts, &now))
+        return NULL;
+    if (!PyList_CheckExact(st) || !PyDict_Check(running)
+        || !PyDict_Check(counts)) {
+        PyErr_SetString(PyExc_TypeError,
+                        "fastcore: bad container types for "
+                        "apply_full_commit");
+        return NULL;
+    }
+
+    bufs B = {.n = 0};
+    PyObject *result = NULL, *rows = NULL, *rated = NULL;
+    Py_ssize_t ncols, n2;
+    int64_t *cid = bufs_get(&B, cid_o, 'q', &ncols, "table.coflow_id");
+    double *rt = cid ? bufs_get(&B, rt_o, 'd', &n2, "table.rate") : NULL;
+    if (rt == NULL)
+        goto done;
+    if (n2 != ncols || PyList_GET_SIZE(st) < ncols) {
+        PyErr_SetString(PyExc_ValueError,
+                        "fastcore: apply_full_commit column mismatch");
+        goto done;
+    }
+    rows = PySequence_Fast(rows_in, "fastcore: rows must be a sequence");
+    rated = rows ? PySequence_Fast(rated_in,
+                                   "fastcore: rates must be a sequence")
+                 : NULL;
+    if (rated == NULL)
+        goto done;
+    Py_ssize_t n = PySequence_Fast_GET_SIZE(rows);
+    if (PySequence_Fast_GET_SIZE(rated) != n) {
+        PyErr_SetString(PyExc_ValueError,
+                        "fastcore: apply_full_commit needs one rate per row");
+        goto done;
+    }
+    PyObject **ritems = PySequence_Fast_ITEMS(rows);
+    PyObject **vitems = PySequence_Fast_ITEMS(rated);
+    for (Py_ssize_t k = 0; k < n; k++) {
+        PyObject *i_obj = ritems[k];
+        Py_ssize_t i = as_row(i_obj, ncols, "commit");
+        if (i < 0)
+            goto done;
+        double rate = PyFloat_AsDouble(vitems[k]);
+        if (rate == -1.0 && PyErr_Occurred())
+            goto done;
+        if (!(rate > 0.0))
+            rate = 0.0;
+        rt[i] = rate;
+        if (rate > 0.0) {
+            if (PyDict_SetItem(running, i_obj, Py_None) < 0)
+                goto done;
+            if (counts_inc(counts, cid[i]) < 0)
+                goto done;
+            if (PyList_GET_ITEM(st, i) == Py_None) {
+                PyObject *t = PyFloat_FromDouble(now);
+                if (t == NULL)
+                    goto done;
+                PyList_SetItem(st, i, t); /* steals t, drops None */
+            }
+        }
+    }
+    result = Py_None;
+    Py_INCREF(result);
+
+done:
+    Py_XDECREF(rows);
+    Py_XDECREF(rated);
     bufs_release(&B);
     return result;
 }
@@ -1782,31 +2001,6 @@ done:
 
 /* ---- queue-transition and positive-rate helpers ------------------------ */
 
-/* rates.get(flow_id, 0.0) with a fresh Python-int key; -1.0 with an
- * exception set on failure (real rates are never negative, so the caller
- * can use the error indicator directly after PyErr_Occurred()). */
-static double
-rates_get(PyObject *rates, int64_t flow_id, int *err)
-{
-    PyObject *key = PyLong_FromLongLong((long long)flow_id);
-    if (key == NULL) {
-        *err = 1;
-        return 0.0;
-    }
-    PyObject *v = PyDict_GetItemWithError(rates, key);
-    Py_DECREF(key);
-    if (v == NULL) {
-        if (PyErr_Occurred())
-            *err = 1;
-        return 0.0;
-    }
-    double r = PyFloat_CheckExact(v) ? PyFloat_AS_DOUBLE(v)
-                                     : PyFloat_AsDouble(v);
-    if (r == -1.0 && PyErr_Occurred())
-        *err = 1;
-    return r;
-}
-
 /* total_rate_rows(rows, fid, ft, rates) -> float
  *
  * QueueTracker.next_transition_time's "total" row branch: the summed rate
@@ -2030,6 +2224,10 @@ static PyMethodDef fastcore_methods[] = {
      "Changed-entry probe of _apply_diff."},
     {"apply_diff", apply_diff, METH_VARARGS,
      "Rate-application core of _apply_diff."},
+    {"apply_full_collect", apply_full_collect, METH_VARARGS,
+     "Collect step of _apply_full_epoch."},
+    {"apply_full_commit", apply_full_commit, METH_VARARGS,
+     "Commit step of _apply_full_epoch."},
     {"aalo_ports", aalo_ports, METH_VARARGS,
      "Bucket-and-serve round core of AaloScheduler._schedule_rows."},
     {"total_rate_rows", total_rate_rows, METH_VARARGS,

@@ -3,9 +3,10 @@
 :class:`PhaseTimers` accumulates wall time per engine phase using
 ``time.perf_counter_ns`` — cheap enough to span the fastcore boundary
 (a compiled kernel call costs microseconds; a timer sample costs tens
-of nanoseconds) so ``tools/profile_hotpaths.py`` can attribute time to
-*advance / schedule / completions / events* without cProfile's
-per-call tracing overhead distorting exactly the loops being measured.
+of nanoseconds) so a caller such as ``layerbench/`` (``--trace 1``) can
+attribute time to *lookout / advance / completions / events / schedule /
+apply* without cProfile's per-call tracing overhead distorting exactly
+the loops being measured.
 
 Usage at an instrumentation point (the disabled path is one attribute
 check, matching the tracer/metrics contract)::

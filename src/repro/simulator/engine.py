@@ -13,8 +13,9 @@ input). This module keeps the original entry points stable:
 * :func:`run_policy` — the one-call convenience wrapper used throughout
   the experiments, analysis and CLI layers.
 * Re-exports of :class:`SimulationResult`, the ``DynamicsAction`` /
-  ``ScheduleObserver`` protocols and the internal ``_DataAvailable``
-  wakeup marker, so historical imports keep working.
+  ``ScheduleObserver`` protocols, the ``RatePerturbation`` hook type and
+  the internal ``_DataAvailable`` wakeup marker, so historical imports
+  keep working.
 """
 
 from __future__ import annotations
@@ -25,11 +26,12 @@ from ..config import SimulationConfig
 from ..observability import MetricsRegistry, PhaseTimers, Tracer
 from ..schedulers.base import Scheduler
 from .fabric import Fabric
-from .flows import CoFlow, Flow
+from .flows import CoFlow
 from .scenario import Scenario
 from .topology import Topology
 from .session import (  # noqa: F401  (re-exported legacy names)
     DynamicsAction,
+    RatePerturbation,
     ScheduleObserver,
     SessionSnapshot,
     SimulationResult,
@@ -56,7 +58,7 @@ class Simulator(SimulationSession):
         *,
         dynamics: Iterable[DynamicsAction] = (),
         topology: "Topology | None" = None,
-        rate_perturbation: Callable[[Flow, float], float] | None = None,
+        rate_perturbation: RatePerturbation | None = None,
         observer: "ScheduleObserver | None" = None,
         sink: Callable[[CoFlow], None] | None = None,
         tracer: "Tracer | None" = None,
@@ -100,7 +102,7 @@ def run_policy(
     *,
     dynamics: Iterable[DynamicsAction] = (),
     topology: "Topology | None" = None,
-    rate_perturbation: Callable[[Flow, float], float] | None = None,
+    rate_perturbation: RatePerturbation | None = None,
     observer: ScheduleObserver | None = None,
     tracer: "Tracer | None" = None,
     metrics: "MetricsRegistry | None" = None,
@@ -129,7 +131,7 @@ def run_scenario(
     config: SimulationConfig,
     *,
     topology: "Topology | None" = None,
-    rate_perturbation: Callable[[Flow, float], float] | None = None,
+    rate_perturbation: RatePerturbation | None = None,
     observer: ScheduleObserver | None = None,
     sink: Callable[[CoFlow], None] | None = None,
     tracer: "Tracer | None" = None,

@@ -73,7 +73,12 @@ mode redraws each flow's achieved rate at every application, so no diff
 baseline exists), and under ``config.incremental=False``. The latter is the
 reference oracle: full scheduler recompute and full apply, with the same
 completion scan as production. The equivalence suite asserts that it
-produces byte-identical :class:`SimulationResult`\\ s.
+produces byte-identical :class:`SimulationResult`\\ s. A full apply is
+three steps (:meth:`SimulationSession._apply_full_epoch`): *collect* the
+``(row, rate)`` pairs of every rated flow, pass all of them to the hook in
+one call, ``hook(flows, rates) -> rates``, and *commit* the result.
+Collect and commit have compiled twins, ``apply_full_collect`` and
+``apply_full_commit``.
 """
 
 from __future__ import annotations
@@ -87,7 +92,7 @@ from dataclasses import dataclass, field
 from itertools import chain
 from pathlib import Path
 from time import perf_counter_ns
-from typing import Callable, Protocol
+from typing import Callable, Protocol, Sequence
 
 from .. import _fastcore as _fc
 from ..config import SimulationConfig
@@ -110,6 +115,12 @@ class DynamicsAction(Protocol):
     def apply(self, sim: "SimulationSession", now: float) -> None:
         """Mutate session state; the kernel reschedules afterwards."""
         ...  # pragma: no cover - protocol
+
+
+#: Testbed-mode hook mapping the allocated rates of one full apply to the
+#: achieved ones: ``hook(flows, rates) -> rates``, one rate per flow (see
+#: :meth:`SimulationSession._apply_full_epoch`).
+RatePerturbation = Callable[[list[Flow], list[float]], Sequence[float]]
 
 
 class ScheduleObserver(Protocol):
@@ -347,7 +358,7 @@ class SimulationSession:
         *,
         scenario: Scenario | None = None,
         topology: "Topology | None" = None,
-        rate_perturbation: Callable[[Flow, float], float] | None = None,
+        rate_perturbation: RatePerturbation | None = None,
         observer: "ScheduleObserver | None" = None,
         sink: Callable[[CoFlow], None] | None = None,
         tracer: "Tracer | None" = None,
@@ -367,8 +378,9 @@ class SimulationSession:
                 f"session fabric {fabric}"
             )
         self.topology = topology
-        #: Optional testbed-mode hook mapping (flow, allocated rate) to the
-        #: *achieved* rate — models imperfect rate enforcement (§7 setup).
+        #: Optional testbed-mode hook mapping a full apply's allocated rates
+        #: to the *achieved* ones — models imperfect rate enforcement (§7
+        #: setup).
         self._rate_perturbation = rate_perturbation
         #: Optional telemetry observer notified after every schedule
         #: application (see repro.analysis.telemetry.TelemetryRecorder).
@@ -1476,58 +1488,61 @@ class SimulationSession:
 
         Runs on the first round, after dynamics mutated state in ways a
         diff cannot describe, and on every round under rate perturbation
-        or ``incremental=False``. The perturbation hook is called in
-        active-coflow then flow order, after efficiency scaling, and only
-        for an available flow with a positive rate: a stateful hook such as
-        :class:`~repro.simulator.testbed.RateJitter` draws in that order.
+        or ``incremental=False``. Three steps:
+
+        1. **collect** walks every pending row, active coflow then row
+           order. It zeroes the rows left without a rate, records the
+           availability-gated rows, and gathers the ``(row, rate)`` pairs
+           of available flows whose rate is positive after efficiency
+           scaling.
+        2. **hook**: the ``rate_perturbation`` hook, if any, maps those
+           rates in one call, ``hook(flows, rates) -> rates``, and must
+           return one rate per flow. It sees the pairs in collect order, so
+           a stateful hook such as
+           :class:`~repro.simulator.testbed.RateJitter` draws in that order.
+        3. **commit** writes the rates, then rebuilds the running set and
+           its per-coflow counts in pair order.
+
+        Collect and commit have compiled twins (``apply_full_collect``,
+        ``apply_full_commit``); the hook step is the same Python in both.
         """
+        now = self._now
+        tbl = self._table
+        state = self.state
+        pending = state.pending_rows
+        row_lists = [pending(c) or () for c in state.active_coflows]
+        gated: dict[int, None] = {}
+        if self._fastcore:
+            if self._metrics is not None:
+                self._metrics.inc("kernel.apply_full.fastcore")
+            collect = _fc.core.apply_full_collect
+            commit = _fc.core.apply_full_commit
+        else:
+            if self._metrics is not None:
+                self._metrics.inc("kernel.apply_full.python")
+            collect = _collect_full
+            commit = _commit_full
+        rows, rated = collect(
+            row_lists, allocation.rates, tbl.flow_id, tbl.finish_time,
+            tbl.rate, tbl.available_time, gated, self.flow_efficiency, now,
+        )
+        perturb = self._rate_perturbation
+        if perturb is not None and rows:
+            given = len(rated)
+            view = tbl.view
+            rated = perturb([view[i] for i in rows], rated)
+            if len(rated) != given:
+                name = getattr(perturb, "__qualname__",
+                               type(perturb).__qualname__)
+                raise SimulationError(
+                    f"rate_perturbation hook {name} returned {len(rated)} "
+                    f"rates for {given} flows"
+                )
         running = self._running
         running.clear()  # kept: same dict object
         counts: dict[int, int] = {}
-        gated: dict[int, None] = {}
-        rates_get = allocation.rates.get
-        efficiency = self.flow_efficiency
-        perturb = self._rate_perturbation
-        state = self.state
-        now = self._now
-        tbl = self._table
-        fid = tbl.flow_id
-        cidc = tbl.coflow_id
-        ft = tbl.finish_time
-        rt = tbl.rate
-        st = tbl.start_time
-        avail = tbl.available_time
-        view = tbl.view
-        for coflow in state.active_coflows:
-            rows = state.pending_rows(coflow)
-            if rows is None:  # pragma: no cover - engine states always track
-                rows = []
-            for i in rows:
-                if ft[i] is not None:
-                    continue
-                rate = rates_get(fid[i], 0.0)
-                if rate > 0:
-                    if avail[i] > now:
-                        # §4.3: data not yet produced cannot be sent. A
-                        # scheduler that allocates here (availability-
-                        # oblivious) has reserved the ports for nothing —
-                        # the slot is wasted, which is the behaviour the
-                        # data-unavailability experiment measures.
-                        rate = 0.0
-                        gated[i] = None
-                    else:
-                        if efficiency:
-                            rate *= efficiency.get(fid[i], 1.0)
-                        if perturb is not None and rate > 0:
-                            rate = perturb(view[i], rate)
-                rate = rate if rate > 0.0 else 0.0
-                rt[i] = rate
-                if rate > 0:
-                    running[i] = None
-                    cid = cidc[i]
-                    counts[cid] = counts.get(cid, 0) + 1
-                    if st[i] is None:
-                        st[i] = now
+        commit(rows, rated, tbl.coflow_id, tbl.rate, tbl.start_time,
+               running, counts, now)
         self._running_count = counts
         self._running_cids = frozenset(counts)
         self._gated = gated
@@ -1699,6 +1714,60 @@ class SimulationSession:
             f"This usually means the scheduler allocated zero rate to every "
             f"remaining flow, or a DAG dependency cycle exists."
         )
+
+
+def _collect_full(row_lists, rates, fid, ft, rt, avail, gated,
+                  efficiency, now):
+    """Collect step of a full apply; twin of ``apply_full_collect``.
+
+    Walks ``row_lists`` (one row sequence per active coflow, in order) and
+    returns the rows that keep a positive rate after availability gating
+    and efficiency scaling, with those rates, in walk order. Every other
+    unfinished row gets rate 0; gated rows are recorded in ``gated``.
+    """
+    rows: list[int] = []
+    rated: list[float] = []
+    rates_get = rates.get
+    for coflow_rows in row_lists:
+        for i in coflow_rows:
+            if ft[i] is not None:
+                continue
+            rate = rates_get(fid[i], 0.0)
+            if rate > 0:
+                if avail[i] > now:
+                    # §4.3: data not yet produced cannot be sent. A
+                    # scheduler that allocates here (availability-
+                    # oblivious) has reserved the ports for nothing —
+                    # the slot is wasted, which is the behaviour the
+                    # data-unavailability experiment measures.
+                    rate = 0.0
+                    gated[i] = None
+                elif efficiency:
+                    rate *= efficiency.get(fid[i], 1.0)
+            if rate > 0.0:
+                rows.append(i)
+                rated.append(rate)
+            else:
+                rt[i] = 0.0
+    return rows, rated
+
+
+def _commit_full(rows, rated, cidc, rt, st, running, counts, now):
+    """Commit step of a full apply; twin of ``apply_full_commit``.
+
+    Writes each row's rate (non-positive and NaN rates as 0) and adds the
+    rows left running to ``running`` and ``counts`` in pair order,
+    stamping first start times.
+    """
+    for i, rate in zip(rows, rated):
+        rate = rate if rate > 0.0 else 0.0
+        rt[i] = rate
+        if rate > 0:
+            running[i] = None
+            cid = cidc[i]
+            counts[cid] = counts.get(cid, 0) + 1
+            if st[i] is None:
+                st[i] = now
 
 
 @dataclass

@@ -15,12 +15,19 @@ sub-1 tail and a long >1 tail:
 :class:`RateJitter` models (2) as a multiplicative efficiency drawn per
 (flow, schedule-application): ``achieved = allocated * eta``, with ``eta``
 sampled from a truncated normal around ``mean_efficiency``. Pass it as the
-engine's ``rate_perturbation`` hook.
+engine's ``rate_perturbation`` hook, which the session calls once per full
+apply as ``hook(flows, rates) -> rates`` with every available flow that
+holds a positive rate, in active-coflow then pending-row order. One
+vectorised draw covers the whole apply; it consumes the generator exactly
+as one scalar draw per flow in that order would, so the achieved rates are
+bit-identical to a per-flow hook.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
+from typing import Sequence
 
 import numpy as np
 
@@ -53,12 +60,22 @@ class RateJitter:
             )
         if not 0 <= self.floor <= self.mean_efficiency:
             raise ConfigError("floor must be in [0, mean_efficiency]")
+        if not (math.isfinite(self.sigma) and self.sigma >= 0):
+            raise ConfigError(
+                f"sigma must be finite and >= 0, got {self.sigma}"
+            )
         self._rng = make_rng(self.seed)
 
-    def __call__(self, flow: Flow, allocated_rate: float) -> float:
-        eta = self._rng.normal(self.mean_efficiency, self.sigma)
-        eta = float(np.clip(eta, self.floor, 1.0))
-        return allocated_rate * eta
+    def __call__(self, flows: Sequence[Flow],
+                 rates: Sequence[float]) -> list[float]:
+        """Achieved rates for one apply: ``rates[k] * eta_k``, with the
+        etas drawn in ``rates`` order. ``flows`` is unused: every flow
+        draws from the same distribution."""
+        eta = self._rng.normal(self.mean_efficiency, self.sigma,
+                               size=len(rates))
+        np.clip(eta, self.floor, 1.0, out=eta)
+        eta *= rates
+        return eta.tolist()
 
 
 def testbed_config(base: SimulationConfig | None = None,

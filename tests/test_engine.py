@@ -40,6 +40,15 @@ class GreedyScheduler(Scheduler):
         return allocation
 
 
+def _drops_one(flows, rates):
+    return rates[1:]
+
+
+class _Doubler:
+    def __call__(self, flows, rates):
+        return rates * 2
+
+
 class TestBasicCompletion:
     def test_single_flow_finishes_at_expected_time(self):
         fab = _fabric()
@@ -282,9 +291,22 @@ class TestStuckDetection:
         c = make_coflow(0, 0.0, [(0, fab.receiver_port(1), 100.0)])
         res = run_policy(
             GreedyScheduler(_cfg()), [c], fab, _cfg(),
-            rate_perturbation=lambda flow, rate: rate * 0.5,
+            rate_perturbation=lambda flows, rates: [r * 0.5 for r in rates],
         )
         assert res.cct(0) == pytest.approx(2.0)
+
+    @pytest.mark.parametrize("hook, message", [
+        (_drops_one, "_drops_one returned 1 rates for 2 flows"),
+        (_Doubler(), "_Doubler returned 4 rates for 2 flows"),
+    ])
+    def test_rate_perturbation_must_return_one_rate_per_flow(self, hook,
+                                                             message):
+        fab = _fabric()
+        c = make_coflow(0, 0.0, [(0, fab.receiver_port(1), 100.0),
+                                 (2, fab.receiver_port(3), 100.0)])
+        with pytest.raises(SimulationError, match=message):
+            run_policy(GreedyScheduler(_cfg()), [c], fab, _cfg(),
+                       rate_perturbation=hook)
 
     def test_reschedules_counted(self):
         fab = _fabric()

@@ -101,9 +101,10 @@ def test_rate_perturbation_equivalent(policy):
     fabric = spec.make_fabric()
     coflows = WorkloadGenerator(spec, seed=29).generate_coflows(fabric)
 
-    def perturb(flow, rate):
+    def perturb(flows, rates):
         # Deterministic, flow-dependent enforcement error (§7 setup).
-        return rate * (0.9 + 0.05 * (flow.flow_id % 3))
+        return [rate * (0.9 + 0.05 * (flow.flow_id % 3))
+                for flow, rate in zip(flows, rates)]
 
     res_e, applied_e = _run_recorded(
         policy, coflows, fabric, incremental=True, rate_perturbation=perturb,

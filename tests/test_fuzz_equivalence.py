@@ -26,7 +26,10 @@ availability. For every registered scheduler the engine paths —
 
 must produce byte-identical CCTs, completion orders, reschedule counts and
 makespans. Workloads are deterministic functions of their seed, so any
-failure reproduces exactly.
+failure reproduces exactly. A jitter leg reruns the same workloads in
+testbed mode (:class:`~repro.simulator.testbed.RateJitter` plus stragglers
+and flow restarts), where every round is a full apply, on the first three
+paths.
 
 A second fuzz pins the row-path rate allocators, which every scheduling
 round runs on, to the object forms bit-for-bit (rates *and* resulting
@@ -54,7 +57,9 @@ import pytest
 from repro import _fastcore
 from repro.config import SimulationConfig
 from repro.errors import CapacityViolationError
+from repro.rng import make_rng
 from repro.schedulers.registry import available_policies, make_scheduler
+from repro.simulator.dynamics import inject_failures, inject_stragglers
 from repro.simulator.engine import run_policy, run_scenario
 from repro.simulator.fabric import Fabric, PortLedger
 from repro.simulator.scenario import Scenario
@@ -74,6 +79,7 @@ from repro.simulator.ratealloc import (
     max_min_fair_rows,
 )
 from repro.simulator.state import FlowTable
+from repro.simulator.testbed import RateJitter
 from repro.simulator.topology import (
     PATH_SELECTORS,
     BigSwitchTopology,
@@ -214,6 +220,33 @@ def test_random_workloads_triple_path_identical(policy):
         fabric, coflows = random_workload(seed)
         assert_engine_paths_identical(
             policy, fabric, coflows, seed, deep_paths=seed % 5 == 0,
+        )
+
+
+@pytest.mark.parametrize("policy", available_policies())
+def test_random_workloads_under_rate_jitter_identical(policy):
+    """Testbed mode: every round is a full apply whose rates pass through
+    the perturbation hook, so this drives the full-apply collect and commit
+    kernels and their Python twins, with availability gating and straggler
+    efficiency scaling in play. The jitter draws from one stream in collect
+    order: a difference in which flows are rated, or in their order, moves
+    the fingerprint."""
+    for seed in range(NUM_WORKLOADS):
+        fabric, coflows = random_workload(seed)
+        rng = make_rng(seed)
+        dynamics = (inject_stragglers(coflows, rng, fraction=0.2)
+                    + inject_failures(coflows, rng, fraction=0.1))
+        prints = {}
+        for path_name, cfg_kw in ENGINE_PATHS:
+            cfg = SimulationConfig(sync_interval=8e-3, **cfg_kw)
+            prints[path_name] = fingerprint(run_policy(
+                make_scheduler(policy, cfg), clone_coflows(coflows),
+                fabric, cfg, dynamics=dynamics,
+                rate_perturbation=RateJitter(seed=seed),
+            ))
+        assert len(set(prints.values())) == 1, (
+            f"engine paths diverged under jitter: policy={policy} "
+            f"seed={seed}"
         )
 
 
