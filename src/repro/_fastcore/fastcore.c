@@ -605,164 +605,72 @@ done:
     return rates;
 }
 
-/* equal_rate_rows(rows, ft, src, dst, link_a, link_b, fid, lcap, lused,
- *                 touched, port_counts) -> dict[int, float]
- *   (equal_rate_for_coflow_rows twin; port_counts is a dict or None) */
-static PyObject *
-equal_rate_rows(PyObject *self, PyObject *args)
+/* The work-conservation fill of greedy_residual_rates_rows, shared by
+ * greedy_rows and saath_round.  Walk `rows` (already bounds-checked) in
+ * order, skipping finished ones, and grant each the smallest residual along
+ * its path, committed on every path link.  Links seen exhausted are
+ * memoised: residuals only shrink within the walk, so a row crossing one
+ * would get the zero-rate no-op anyway.  Each positive grant is stored in
+ * rates[fid]; when `granted` is not NULL the row's coflow id joins it. */
+static int
+greedy_fill(const pathcols *P, PyObject *ft, const int64_t *fid,
+            const int64_t *cid, double *lcap, double *lused,
+            Py_ssize_t nlinks, PyObject *touched, const Py_ssize_t *rows,
+            Py_ssize_t n, PyObject *rates, PyObject *granted)
 {
-    PyObject *rows_o, *ft, *src_o, *dst_o, *la_o, *lb_o, *fid_o;
-    PyObject *lcap_o, *lused_o, *touched, *port_counts;
-    if (!PyArg_ParseTuple(args, "OOOOOOOOOOO", &rows_o, &ft, &src_o,
-                          &dst_o, &la_o, &lb_o, &fid_o, &lcap_o, &lused_o,
-                          &touched, &port_counts))
-        return NULL;
-    if (!PyList_CheckExact(ft)) {
-        PyErr_SetString(PyExc_TypeError,
-                        "fastcore: finish_time must be a list");
-        return NULL;
-    }
-    if (port_counts != Py_None && !PyDict_Check(port_counts)) {
-        PyErr_SetString(PyExc_TypeError,
-                        "fastcore: port_counts must be a dict or None");
-        return NULL;
-    }
-
-    bufs B = {.n = 0};
-    pathcols P;
-    PyObject *fast = NULL, *rates = NULL;
-    Py_ssize_t *todo = NULL;
-    int64_t *counts = NULL, *order = NULL;
-
-    Py_ssize_t nlinks;
-    int64_t *fid = NULL;
-    double *lcap = NULL, *lused = NULL;
-    if (pathcols_get(&B, &P, src_o, dst_o, la_o, lb_o) == 0) {
-        fid = bufs_get(&B, fid_o, 'q', NULL, "table.flow_id");
-        lcap = fid ? bufs_get(&B, lcap_o, 'd', &nlinks, "capacity_list")
-                   : NULL;
-        lused = lcap ? bufs_get(&B, lused_o, 'd', NULL, "used_list") : NULL;
-    }
-    if (lused == NULL)
-        goto fail;
-    Py_ssize_t ncols = P.n;
-    if (PyList_GET_SIZE(ft) < ncols) {
-        PyErr_SetString(PyExc_ValueError,
-                        "fastcore: finish_time shorter than table columns");
-        goto fail;
-    }
-
-    fast = PySequence_Fast(rows_o, "fastcore: rows must be a sequence");
-    if (fast == NULL)
-        goto fail;
-    Py_ssize_t n = PySequence_Fast_GET_SIZE(fast);
-    PyObject **items = PySequence_Fast_ITEMS(fast);
-
-    todo = PyMem_New(Py_ssize_t, n > 0 ? n : 1);
-    if (todo == NULL) {
+    char *dead = PyMem_New(char, nlinks > 0 ? nlinks : 1);
+    if (dead == NULL) {
         PyErr_NoMemory();
-        goto fail;
+        return -1;
     }
-    Py_ssize_t nt = 0;
+    memset(dead, 0, (size_t)(nlinks > 0 ? nlinks : 1));
+    int rc = -1;
     for (Py_ssize_t k = 0; k < n; k++) {
-        Py_ssize_t i = as_row(items[k], ncols, "rows");
-        if (i < 0)
-            goto fail;
-        if (PyList_GET_ITEM(ft, i) == Py_None)
-            todo[nt++] = i;
-    }
-    if (nt == 0) {
-        rates = PyDict_New();
-        goto done;
-    }
-
-    /* rate = min over the coflow's links of residual / count; the min over
-     * the same set of caps is the same float in any visiting order. */
-    double rate = INFINITY;
-    if (port_counts != Py_None) {
-        Py_ssize_t pos = 0;
-        PyObject *k, *v;
-        while (PyDict_Next(port_counts, &pos, &k, &v)) {
-            long long link = PyLong_AsLongLong(k);
-            if (link == -1 && PyErr_Occurred())
-                goto fail;
-            long long count = PyLong_AsLongLong(v);
-            if (count == -1 && PyErr_Occurred())
-                goto fail;
-            if (link < 0 || link >= nlinks) {
-                PyErr_Format(PyExc_IndexError,
-                             "fastcore: link %lld out of range", link);
-                goto fail;
-            }
-            double r = lcap[link] - lused[link];
-            double cap = (r >= 0.0 ? r : 0.0) / (double)count;
-            if (cap < rate)
-                rate = cap;
-        }
-    }
-    else {
-        counts = PyMem_New(int64_t, nlinks > 0 ? nlinks : 1);
-        order = PyMem_New(int64_t, MAX_PATH * nt);
-        if (counts == NULL || order == NULL) {
-            PyErr_NoMemory();
-            goto fail;
-        }
-        memset(counts, 0, (size_t)(nlinks > 0 ? nlinks : 1)
-                              * sizeof(int64_t));
-        Py_ssize_t no = 0;
-        for (Py_ssize_t t = 0; t < nt; t++) {
-            int64_t path[MAX_PATH];
-            int np = row_path(&P, todo[t], nlinks, path);
-            if (np < 0)
-                goto fail;
-            for (int s = 0; s < np; s++)
-                if (counts[path[s]]++ == 0)
-                    order[no++] = path[s];
-        }
-        for (Py_ssize_t o = 0; o < no; o++) {
-            int64_t link = order[o];
-            /* ledger.residual() == max(cap - used, 0.0) */
-            double r = lcap[link] - lused[link];
-            double cap = (r >= 0.0 ? r : 0.0) / (double)counts[link];
-            if (cap < rate)
-                rate = cap;
-        }
-    }
-    if (!isfinite(rate) || rate <= 0.0) {
-        rates = PyDict_New();
-        goto done;
-    }
-
-    rates = PyDict_New();
-    if (rates == NULL)
-        goto fail;
-    PyObject *rate_obj = PyFloat_FromDouble(rate);
-    if (rate_obj == NULL)
-        goto fail;
-    for (Py_ssize_t t = 0; t < nt; t++) {
-        Py_ssize_t i = todo[t];
-        PyObject *key = PyLong_FromLongLong((long long)fid[i]);
-        int r = key ? PyDict_SetItem(rates, key, rate_obj) : -1;
-        Py_XDECREF(key);
+        Py_ssize_t i = rows[k];
+        if (PyList_GET_ITEM(ft, i) != Py_None)
+            continue;
         int64_t path[MAX_PATH];
-        if (r < 0 || row_path(&P, i, nlinks, path) < 0
-            || commit_path(lcap, lused, touched, path, rate) < 0) {
-            Py_DECREF(rate_obj);
-            goto fail;
+        int np = row_path(P, i, nlinks, path);
+        if (np < 0)
+            goto done;
+        double rate = INFINITY;
+        int s;
+        for (s = 0; s < np; s++) {
+            int64_t link = path[s];
+            if (dead[link])
+                break;
+            double other = lcap[link] - lused[link];
+            if (other < rate)
+                rate = other;
+        }
+        if (s < np)
+            continue; /* crosses an exhausted link: a zero-rate no-op */
+        if (rate > 0.0) {
+            for (s = 0; s < np; s++) {
+                lused[path[s]] += rate;
+                if (set_add_port(touched, path[s]) < 0)
+                    goto done;
+            }
+            PyObject *key = PyLong_FromLongLong((long long)fid[i]);
+            PyObject *val = key ? PyFloat_FromDouble(rate) : NULL;
+            int r = val ? PyDict_SetItem(rates, key, val) : -1;
+            Py_XDECREF(key);
+            Py_XDECREF(val);
+            if (r < 0)
+                goto done;
+            if (granted != NULL && set_add_port(granted, cid[i]) < 0)
+                goto done;
+        }
+        else {
+            for (s = 0; s < np; s++)
+                if (lcap[path[s]] - lused[path[s]] <= 0.0)
+                    dead[path[s]] = 1;
         }
     }
-    Py_DECREF(rate_obj);
-    goto done;
-
-fail:
-    Py_CLEAR(rates);
+    rc = 0;
 done:
-    PyMem_Free(todo);
-    PyMem_Free(counts);
-    PyMem_Free(order);
-    Py_XDECREF(fast);
-    bufs_release(&B);
-    return rates;
+    PyMem_Free(dead);
+    return rc;
 }
 
 /* greedy_rows(rows, ft, fid, src, dst, link_a, link_b, lcap, lused,
@@ -786,7 +694,7 @@ greedy_rows(PyObject *self, PyObject *args)
     bufs B = {.n = 0};
     pathcols P;
     PyObject *fast = NULL, *rates = NULL;
-    char *dead = NULL;
+    Py_ssize_t *rows = NULL;
 
     Py_ssize_t nlinks;
     int64_t *fid = NULL;
@@ -811,65 +719,27 @@ greedy_rows(PyObject *self, PyObject *args)
         goto fail;
     Py_ssize_t n = PySequence_Fast_GET_SIZE(fast);
     PyObject **items = PySequence_Fast_ITEMS(fast);
-
-    dead = PyMem_New(char, nlinks > 0 ? nlinks : 1);
-    if (dead == NULL) {
+    rows = PyMem_New(Py_ssize_t, n > 0 ? n : 1);
+    if (rows == NULL) {
         PyErr_NoMemory();
         goto fail;
     }
-    memset(dead, 0, (size_t)(nlinks > 0 ? nlinks : 1));
-
-    rates = PyDict_New();
-    if (rates == NULL)
-        goto fail;
     for (Py_ssize_t k = 0; k < n; k++) {
-        Py_ssize_t i = as_row(items[k], ncols, "rows");
-        if (i < 0)
+        rows[k] = as_row(items[k], ncols, "rows");
+        if (rows[k] < 0)
             goto fail;
-        if (PyList_GET_ITEM(ft, i) != Py_None)
-            continue;
-        int64_t path[MAX_PATH];
-        int np = row_path(&P, i, nlinks, path);
-        if (np < 0)
-            goto fail;
-        double rate = INFINITY;
-        int s;
-        for (s = 0; s < np; s++) {
-            int64_t link = path[s];
-            if (dead[link])
-                break;
-            double other = lcap[link] - lused[link];
-            if (other < rate)
-                rate = other;
-        }
-        if (s < np)
-            continue; /* crosses an exhausted link: a zero-rate no-op */
-        if (rate > 0.0) {
-            for (s = 0; s < np; s++) {
-                lused[path[s]] += rate;
-                if (set_add_port(touched, path[s]) < 0)
-                    goto fail;
-            }
-            PyObject *key = PyLong_FromLongLong((long long)fid[i]);
-            PyObject *val = key ? PyFloat_FromDouble(rate) : NULL;
-            int r = val ? PyDict_SetItem(rates, key, val) : -1;
-            Py_XDECREF(key);
-            Py_XDECREF(val);
-            if (r < 0)
-                goto fail;
-        }
-        else {
-            for (s = 0; s < np; s++)
-                if (lcap[path[s]] - lused[path[s]] <= 0.0)
-                    dead[path[s]] = 1;
-        }
     }
+    rates = PyDict_New();
+    if (rates == NULL
+        || greedy_fill(&P, ft, fid, NULL, lcap, lused, nlinks, touched,
+                       rows, n, rates, NULL) < 0)
+        goto fail;
     goto done;
 
 fail:
     Py_CLEAR(rates);
 done:
-    PyMem_Free(dead);
+    PyMem_Free(rows);
     Py_XDECREF(fast);
     bufs_release(&B);
     return rates;
@@ -1999,6 +1869,239 @@ done:
     return result;
 }
 
+/* ---- Saath round kernel ------------------------------------------------ */
+
+/* A growable array of row indices. */
+typedef struct {
+    Py_ssize_t *v;
+    Py_ssize_t n, cap;
+} rowvec;
+
+static int
+rowvec_reserve(rowvec *R, Py_ssize_t extra)
+{
+    if (R->n + extra <= R->cap)
+        return 0;
+    Py_ssize_t cap = R->cap > 0 ? R->cap : 64;
+    while (cap < R->n + extra)
+        cap *= 2;
+    Py_ssize_t *v = PyMem_Realloc(R->v, (size_t)cap * sizeof(Py_ssize_t));
+    if (v == NULL) {
+        PyErr_NoMemory();
+        return -1;
+    }
+    R->v = v;
+    R->cap = cap;
+    return 0;
+}
+
+/* One coflow's all-or-none admission and D2 equal rate over its
+ * schedulable rows `sched` (SaathScheduler._admissible_rows, then
+ * equal_rate_for_coflow_rows).  Admission needs capacity - used >= min_rate
+ * on every link of every row's path.  The rate is the minimum over the
+ * links of the unfinished rows' paths of max(capacity - used, 0) / count,
+ * where count is the number of unfinished rows crossing the link.  On a
+ * finite positive rate every unfinished row gets it in rates[fid] and is
+ * committed through commit_path, and the coflow joins `scheduled`.
+ * `count` is all zero on entry and on exit; `links` holds MAX_PATH * m.
+ * Returns 1 when scheduled, 0 when missed, -1 on error. */
+static int
+saath_admit(const pathcols *P, PyObject *ft, const int64_t *fid,
+            const int64_t *cid, double *lcap, double *lused,
+            Py_ssize_t nlinks, PyObject *touched, double min_rate,
+            const Py_ssize_t *sched, Py_ssize_t m, Py_ssize_t *count,
+            int64_t *links, PyObject *rates, PyObject *scheduled)
+{
+    int64_t path[MAX_PATH];
+    for (Py_ssize_t k = 0; k < m; k++) {
+        int np = row_path(P, sched[k], nlinks, path);
+        if (np < 0)
+            return -1;
+        for (int s = 0; s < np; s++)
+            if (lcap[path[s]] - lused[path[s]] < min_rate)
+                return 0;
+    }
+
+    Py_ssize_t nl = 0, first = -1;
+    for (Py_ssize_t k = 0; k < m; k++) {
+        if (PyList_GET_ITEM(ft, sched[k]) != Py_None)
+            continue;
+        if (first < 0)
+            first = sched[k];
+        int np = row_path(P, sched[k], nlinks, path);
+        for (int s = 0; s < np; s++)
+            if (count[path[s]]++ == 0)
+                links[nl++] = path[s];
+    }
+    /* the min over the same set of caps is the same float in any order */
+    double rate = INFINITY;
+    for (Py_ssize_t o = 0; o < nl; o++) {
+        int64_t link = links[o];
+        double r = lcap[link] - lused[link];
+        double cap = (r >= 0.0 ? r : 0.0) / (double)count[link];
+        if (cap < rate)
+            rate = cap;
+        count[link] = 0;
+    }
+    if (first < 0 || !isfinite(rate) || rate <= 0.0)
+        return 0;
+
+    PyObject *rate_obj = PyFloat_FromDouble(rate);
+    if (rate_obj == NULL)
+        return -1;
+    int rc = -1;
+    for (Py_ssize_t k = 0; k < m; k++) {
+        Py_ssize_t i = sched[k];
+        if (PyList_GET_ITEM(ft, i) != Py_None)
+            continue;
+        PyObject *key = PyLong_FromLongLong((long long)fid[i]);
+        int r = key ? PyDict_SetItem(rates, key, rate_obj) : -1;
+        Py_XDECREF(key);
+        if (r < 0)
+            goto done;
+        row_path(P, i, nlinks, path);
+        if (commit_path(lcap, lused, touched, path, rate) < 0)
+            goto done;
+    }
+    rc = set_add_port(scheduled, cid[first]) < 0 ? -1 : 1;
+done:
+    Py_DECREF(rate_obj);
+    return rc;
+}
+
+/* saath_round(coflow_rows, now, respect_availability, min_rate,
+ *             work_conservation, ft, avail, src, dst, link_a, link_b, fid,
+ *             cid, lcap, lused, touched, rates, scheduled,
+ *             work_conserved) -> None
+ *
+ * Compiled twin of SaathScheduler._round_rows.  `coflow_rows` holds each
+ * coflow's pending rows, in scheduling order.  A row is schedulable when
+ * its data is available (available_time <= now), or always when
+ * respect_availability is off: the set ClusterState.schedulable_rows
+ * returns.  Each coflow with schedulable rows goes through saath_admit;
+ * the rows of every coflow it misses are then filled, in that order, by
+ * greedy_fill (Fig. 7 work conservation), whose granted coflows join
+ * `work_conserved`.  So `rates` fills coflow by coflow in scheduling
+ * order, then with the work-conservation grants in missed-row order, as
+ * in Python. */
+static PyObject *
+saath_round(PyObject *self, PyObject *args)
+{
+    PyObject *runs_in, *ft, *avail_o, *src_o, *dst_o, *la_o, *lb_o, *fid_o,
+             *cid_o, *lcap_o, *lused_o, *touched, *rates, *scheduled,
+             *conserved;
+    double now, min_rate;
+    int respect, work_conservation;
+    if (!PyArg_ParseTuple(args, "OdpdpOOOOOOOOOOOOOO", &runs_in, &now,
+                          &respect, &min_rate, &work_conservation, &ft,
+                          &avail_o, &src_o, &dst_o, &la_o, &lb_o, &fid_o,
+                          &cid_o, &lcap_o, &lused_o, &touched, &rates,
+                          &scheduled, &conserved))
+        return NULL;
+    if (!PyList_CheckExact(ft)) {
+        PyErr_SetString(PyExc_TypeError,
+                        "fastcore: finish_time must be a list");
+        return NULL;
+    }
+
+    bufs B = {0};
+    pathcols P;
+    PyObject *result = NULL, *runs = NULL;
+    /* Each coflow's schedulable rows are appended here; a scheduled
+     * coflow's are dropped again, so the missed rows stay in order. */
+    rowvec missed = {0};
+    Py_ssize_t *count = NULL;
+    int64_t *links = NULL;
+    Py_ssize_t links_cap = 0;
+
+    Py_ssize_t n5, n6, n7, nlinks, nused;
+    if (pathcols_get(&B, &P, src_o, dst_o, la_o, lb_o) < 0)
+        goto done;
+    Py_ssize_t ncols = P.n;
+    double *avail = bufs_get(&B, avail_o, 'd', &n5, "available_time");
+    int64_t *fid = avail ? bufs_get(&B, fid_o, 'q', &n6, "flow_id") : NULL;
+    int64_t *cid = fid ? bufs_get(&B, cid_o, 'q', &n7, "coflow_id") : NULL;
+    double *lcap = cid ? bufs_get(&B, lcap_o, 'd', &nlinks, "capacity_list")
+                       : NULL;
+    double *lused = lcap ? bufs_get(&B, lused_o, 'd', &nused, "used_list")
+                         : NULL;
+    if (lused == NULL)
+        goto done;
+    if (n5 != ncols || n6 != ncols || n7 != ncols || nused != nlinks
+        || PyList_GET_SIZE(ft) < ncols) {
+        PyErr_SetString(PyExc_ValueError,
+                        "fastcore: saath_round column/ledger length mismatch");
+        goto done;
+    }
+    count = PyMem_New(Py_ssize_t, nlinks > 0 ? nlinks : 1);
+    if (count == NULL) {
+        PyErr_NoMemory();
+        goto done;
+    }
+    memset(count, 0, (size_t)(nlinks > 0 ? nlinks : 1) * sizeof(Py_ssize_t));
+
+    runs = PySequence_Fast(runs_in, "fastcore: coflow rows must be a sequence");
+    if (runs == NULL)
+        goto done;
+    Py_ssize_t nruns = PySequence_Fast_GET_SIZE(runs);
+    for (Py_ssize_t r = 0; r < nruns; r++) {
+        PyObject *fast = PySequence_Fast(PySequence_Fast_GET_ITEM(runs, r),
+                                         "fastcore: rows must be a sequence");
+        if (fast == NULL)
+            goto done;
+        Py_ssize_t n = PySequence_Fast_GET_SIZE(fast);
+        PyObject **items = PySequence_Fast_ITEMS(fast);
+        if (rowvec_reserve(&missed, n) < 0) {
+            Py_DECREF(fast);
+            goto done;
+        }
+        Py_ssize_t start = missed.n;
+        for (Py_ssize_t k = 0; k < n; k++) {
+            Py_ssize_t i = as_row(items[k], ncols, "saath");
+            if (i < 0) {
+                Py_DECREF(fast);
+                goto done;
+            }
+            if (!respect || avail[i] <= now)
+                missed.v[missed.n++] = i;
+        }
+        Py_DECREF(fast);
+        Py_ssize_t m = missed.n - start;
+        if (m == 0)
+            continue;
+        if (MAX_PATH * m > links_cap) {
+            PyMem_Free(links);
+            links_cap = MAX_PATH * m;
+            links = PyMem_New(int64_t, links_cap);
+            if (links == NULL) {
+                PyErr_NoMemory();
+                goto done;
+            }
+        }
+        int st = saath_admit(&P, ft, fid, cid, lcap, lused, nlinks, touched,
+                             min_rate, missed.v + start, m, count, links,
+                             rates, scheduled);
+        if (st < 0)
+            goto done;
+        if (st == 1)
+            missed.n = start;
+    }
+    if (work_conservation && missed.n > 0
+        && greedy_fill(&P, ft, fid, cid, lcap, lused, nlinks, touched,
+                       missed.v, missed.n, rates, conserved) < 0)
+        goto done;
+    result = Py_None;
+    Py_INCREF(result);
+
+done:
+    PyMem_Free(links);
+    PyMem_Free(count);
+    PyMem_Free(missed.v);
+    Py_XDECREF(runs);
+    bufs_release(&B);
+    return result;
+}
+
 /* ---- queue-transition and positive-rate helpers ------------------------ */
 
 /* total_rate_rows(rows, fid, ft, rates) -> float
@@ -2050,71 +2153,153 @@ done:
     return result;
 }
 
-/* per_flow_transition(rows, fid, ft, vol, bs, rates, per_flow_hi) -> float
+/* per_flow_transitions(pairs, fid, ft, vol, bs, rates) -> float
  *
- * QueueTracker.next_transition_time's "perflow" row branch: seconds until
- * the first flow crosses per_flow_hi (0.0 for an immediate transition,
- * inf when none will).  Same scan order, comparisons and early return as
- * the Python loop. */
+ * The earliest per-flow threshold crossing over several coflows, each given
+ * as a (rows, per_flow_hi) pair: the minimum over the pairs of
+ * QueueTracker.next_transition_time's "perflow" row scan, seconds until
+ * the first flow crosses per_flow_hi (inf when none will).  Same scan
+ * order and comparisons as the Python loop; an immediate transition (0.0)
+ * ends the whole scan, since no crossing comes earlier. */
 static PyObject *
-per_flow_transition(PyObject *self, PyObject *args)
+per_flow_transitions(PyObject *self, PyObject *args)
 {
-    PyObject *rows_in, *fid_o, *ft, *vol_o, *bs_o, *rates;
-    double per_flow_hi;
-    if (!PyArg_ParseTuple(args, "OOOOOOd", &rows_in, &fid_o, &ft,
-                          &vol_o, &bs_o, &rates, &per_flow_hi))
+    PyObject *pairs_in, *fid_o, *ft, *vol_o, *bs_o, *rates;
+    if (!PyArg_ParseTuple(args, "OOOOOO", &pairs_in, &fid_o, &ft, &vol_o,
+                          &bs_o, &rates))
         return NULL;
 
     bufs B = {0};
-    PyObject *result = NULL, *fast = NULL;
+    PyObject *result = NULL, *pairs = NULL;
     Py_ssize_t ncols, n2, n3;
     int64_t *fid = bufs_get(&B, fid_o, 'q', &ncols, "flow_id");
-    double *vol = bufs_get(&B, vol_o, 'd', &n2, "volume");
-    double *bs = bufs_get(&B, bs_o, 'd', &n3, "bytes_sent");
-    if (fid == NULL || vol == NULL || bs == NULL)
+    double *vol = fid ? bufs_get(&B, vol_o, 'd', &n2, "volume") : NULL;
+    double *bs = vol ? bufs_get(&B, bs_o, 'd', &n3, "bytes_sent") : NULL;
+    if (bs == NULL)
         goto done;
     if (n2 != ncols || n3 != ncols
         || !PyList_Check(ft) || PyList_GET_SIZE(ft) < ncols) {
         PyErr_SetString(PyExc_ValueError,
-                        "fastcore: per_flow_transition column mismatch");
+                        "fastcore: per_flow_transitions column mismatch");
         goto done;
     }
-    fast = PySequence_Fast(rows_in, "fastcore: rows must be a sequence");
-    if (fast == NULL)
+    pairs = PySequence_Fast(pairs_in, "fastcore: pairs must be a sequence");
+    if (pairs == NULL)
         goto done;
-    Py_ssize_t n = PySequence_Fast_GET_SIZE(fast);
-    PyObject **items = PySequence_Fast_ITEMS(fast);
+    Py_ssize_t npairs = PySequence_Fast_GET_SIZE(pairs);
     double best = Py_HUGE_VAL;
     int err = 0;
-    for (Py_ssize_t k = 0; k < n; k++) {
-        Py_ssize_t i = as_row(items[k], ncols, "transition");
-        if (i < 0)
+    for (Py_ssize_t p = 0; p < npairs; p++) {
+        PyObject *pair = PySequence_Fast_GET_ITEM(pairs, p);
+        if (!PyTuple_Check(pair) || PyTuple_GET_SIZE(pair) != 2) {
+            PyErr_SetString(PyExc_TypeError,
+                            "fastcore: pair must be (rows, per_flow_hi)");
             goto done;
-        if (PyList_GET_ITEM(ft, i) != Py_None)
-            continue;
-        double rate = rates_get(rates, fid[i], &err);
-        if (err)
+        }
+        double hi = PyFloat_AsDouble(PyTuple_GET_ITEM(pair, 1));
+        if (hi == -1.0 && PyErr_Occurred())
             goto done;
-        if (rate <= 0.0)
-            continue;
-        double reachable = vol[i] < per_flow_hi ? vol[i] : per_flow_hi;
-        if (reachable <= bs[i]) {
-            if (bs[i] >= per_flow_hi) {
-                result = PyFloat_FromDouble(0.0);
+        PyObject *fast = PySequence_Fast(PyTuple_GET_ITEM(pair, 0),
+                                         "fastcore: rows must be a sequence");
+        if (fast == NULL)
+            goto done;
+        Py_ssize_t n = PySequence_Fast_GET_SIZE(fast);
+        PyObject **items = PySequence_Fast_ITEMS(fast);
+        for (Py_ssize_t k = 0; k < n; k++) {
+            Py_ssize_t i = as_row(items[k], ncols, "transition");
+            if (i < 0) {
+                Py_DECREF(fast);
                 goto done;
             }
-            continue;
+            if (PyList_GET_ITEM(ft, i) != Py_None)
+                continue;
+            double rate = rates_get(rates, fid[i], &err);
+            if (err) {
+                Py_DECREF(fast);
+                goto done;
+            }
+            if (rate <= 0.0)
+                continue;
+            double reachable = vol[i] < hi ? vol[i] : hi;
+            if (reachable <= bs[i]) {
+                if (bs[i] >= hi) {
+                    Py_DECREF(fast);
+                    result = PyFloat_FromDouble(0.0);
+                    goto done;
+                }
+                continue;
+            }
+            if (hi <= vol[i]) {
+                double cand = (hi - bs[i]) / rate;
+                if (cand < best)
+                    best = cand;
+            }
         }
-        if (per_flow_hi <= vol[i]) {
-            double cand = (per_flow_hi - bs[i]) / rate;
-            if (cand < best)
-                best = cand;
-        }
+        Py_DECREF(fast);
     }
     result = PyFloat_FromDouble(best);
 
 done:
-    Py_XDECREF(fast);
+    Py_XDECREF(pairs);
+    bufs_release(&B);
+    return result;
+}
+
+/* max_bytes_sent(row_lists, bs) -> list[float]
+ *
+ * Saath's queue metric m_c (D3) of each coflow: max(bytes_sent) over all
+ * of its rows, finished ones included, or 0.0 for none (the row branch of
+ * CoFlow.max_flow_bytes_sent; the same `>` scan keeps the first maximal
+ * value, as Python's max does). */
+static PyObject *
+max_bytes_sent(PyObject *self, PyObject *args)
+{
+    PyObject *lists_in, *bs_o;
+    if (!PyArg_ParseTuple(args, "OO", &lists_in, &bs_o))
+        return NULL;
+
+    bufs B = {0};
+    PyObject *result = NULL, *lists = NULL, *out = NULL;
+    Py_ssize_t ncols;
+    double *bs = bufs_get(&B, bs_o, 'd', &ncols, "bytes_sent");
+    if (bs == NULL)
+        goto done;
+    lists = PySequence_Fast(lists_in, "fastcore: row lists must be a sequence");
+    if (lists == NULL)
+        goto done;
+    Py_ssize_t nlists = PySequence_Fast_GET_SIZE(lists);
+    out = PyList_New(nlists);
+    if (out == NULL)
+        goto done;
+    for (Py_ssize_t c = 0; c < nlists; c++) {
+        PyObject *fast = PySequence_Fast(PySequence_Fast_GET_ITEM(lists, c),
+                                         "fastcore: rows must be a sequence");
+        if (fast == NULL)
+            goto done;
+        Py_ssize_t n = PySequence_Fast_GET_SIZE(fast);
+        PyObject **items = PySequence_Fast_ITEMS(fast);
+        double m = 0.0;
+        for (Py_ssize_t k = 0; k < n; k++) {
+            Py_ssize_t i = as_row(items[k], ncols, "metric");
+            if (i < 0) {
+                Py_DECREF(fast);
+                goto done;
+            }
+            if (k == 0 || bs[i] > m)
+                m = bs[i];
+        }
+        Py_DECREF(fast);
+        PyObject *v = PyFloat_FromDouble(m);
+        if (v == NULL)
+            goto done;
+        PyList_SET_ITEM(out, c, v);
+    }
+    result = out;
+    out = NULL;
+
+done:
+    Py_XDECREF(out);
+    Py_XDECREF(lists);
     bufs_release(&B);
     return result;
 }
@@ -2208,8 +2393,6 @@ static PyMethodDef fastcore_methods[] = {
      "Progressive-fill core of max_min_fair_rows_raw."},
     {"madd_rows", madd_rows, METH_VARARGS,
      "Fused single-pass core of madd_rates_rows."},
-    {"equal_rate_rows", equal_rate_rows, METH_VARARGS,
-     "Equal-rate core of equal_rate_for_coflow_rows."},
     {"greedy_rows", greedy_rows, METH_VARARGS,
      "Work-conservation fill core of greedy_residual_rates_rows."},
     {"advance_running", advance_running, METH_VARARGS,
@@ -2230,10 +2413,14 @@ static PyMethodDef fastcore_methods[] = {
      "Commit step of _apply_full_epoch."},
     {"aalo_ports", aalo_ports, METH_VARARGS,
      "Bucket-and-serve round core of AaloScheduler._schedule_rows."},
+    {"saath_round", saath_round, METH_VARARGS,
+     "Admission, D2 rates and work conservation of SaathScheduler.schedule."},
     {"total_rate_rows", total_rate_rows, METH_VARARGS,
      "Summed-live-rate core of next_transition_time (total metric)."},
-    {"per_flow_transition", per_flow_transition, METH_VARARGS,
-     "Threshold-crossing scan of next_transition_time (perflow metric)."},
+    {"per_flow_transitions", per_flow_transitions, METH_VARARGS,
+     "Earliest threshold crossing over coflows (perflow metric)."},
+    {"max_bytes_sent", max_bytes_sent, METH_VARARGS,
+     "Per-coflow max bytes_sent, Saath's queue metric."},
     {"positive_rows", positive_rows, METH_VARARGS,
      "Positive-rate gather of UcTcpScheduler.schedule's row path."},
     {NULL, NULL, 0, NULL},

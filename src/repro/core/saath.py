@@ -20,12 +20,23 @@ complementary ideas plus two safety mechanisms, all implemented here:
 
 The optional §4.3 dynamics handler (approximated SRTF promotion when some
 flows have finished) is enabled by ``config.enable_dynamics_promotion``.
+
+With the compiled core (``table.fastcore``) a round makes three calls into
+:mod:`repro._fastcore` instead of per-coflow Python: ``max_bytes_sent``
+reads the queue metric of every coflow the refresh revisits,
+``saath_round`` runs admission, D2 rates and work conservation over the
+ordered coflows (:meth:`SaathScheduler._round_compiled`), and
+``per_flow_transitions`` finds the earliest queue-threshold crossing for
+:meth:`SaathScheduler.next_wakeup`. Queue placements, the scheduling order
+and the starvation deadlines stay in Python. :meth:`SaathScheduler.
+_round_rows` is the round's Python twin; both give the same bits.
 """
 
 from __future__ import annotations
 
 import math
 
+from .._fastcore import core as _core
 from ..config import SimulationConfig
 from ..schedulers.base import Allocation, Scheduler
 from ..schedulers.queues import QueueTracker
@@ -111,16 +122,56 @@ class SaathScheduler(Scheduler):
         # (first round, dynamics, or incremental=False) rebuild everything.
         incremental = self.config.incremental and not state.delta.full
         queue_moves = self._assign_queues(state, now, incremental)
-        order = self._scheduling_order(state, now, incremental, queue_moves)
+        order, starving = self._scheduling_order(state, now, incremental,
+                                                 queue_moves)
 
         ledger = self._round_ledger(state)
         allocation = Allocation()
-
         # Admission, D2 rates and work conservation all walk table rows
         # over each flow's whole link path (the table's core-link columns),
         # so on a multi-tier topology a coflow is admitted only when every
         # core link on its flows' paths still has capacity, and its rate
         # saturates at the true bottleneck.
+        if state.table.fastcore and _core is not None:
+            self._round_compiled(state, now, order, ledger, allocation)
+        else:
+            self._round_rows(state, now, order, ledger, allocation)
+        # Only starving coflows that all-or-none admitted took the
+        # starvation path.
+        scheduled = allocation.scheduled_coflows
+        self.starvation_admissions += sum(
+            1 for c in order[:starving] if c.coflow_id in scheduled
+        )
+        return allocation
+
+    def _round_compiled(self, state: ClusterState, now: float,
+                        order: list[CoFlow], ledger,
+                        allocation: Allocation) -> None:
+        """:meth:`_round_rows` as one ``saath_round`` call, over each
+        coflow's pending rows in scheduling order (the kernel applies the
+        availability gate of :meth:`ClusterState.schedulable_rows`)."""
+        if self.metrics is not None:
+            self.metrics.inc("kernel.saath_round.fastcore")
+        table = state.table
+        rows_of = state.pending_row_map
+        _core.saath_round(
+            [rows_of[c.coflow_id] for c in order], now,
+            state.respect_availability, self.config.min_rate,
+            self.work_conservation, table.finish_time, table.available_time,
+            table.src, table.dst, table.link_a, table.link_b, table.flow_id,
+            table.coflow_id, ledger.capacity_list, ledger.used_list,
+            ledger.touched_set, allocation.rates,
+            allocation.scheduled_coflows, allocation.work_conserved_coflows,
+        )
+
+    def _round_rows(self, state: ClusterState, now: float,
+                    order: list[CoFlow], ledger,
+                    allocation: Allocation) -> None:
+        """Fig. 7 lines 1–23 over ``order``: all-or-none admission and D2
+        equal rates coflow by coflow, then work conservation over the rows
+        of the coflows it missed (the Python twin of the compiled round)."""
+        if self.metrics is not None:
+            self.metrics.inc("kernel.saath_round.python")
         table = state.table
         missed: list[list[int]] = []
         for coflow in order:
@@ -143,7 +194,6 @@ class SaathScheduler(Scheduler):
             missed.append(rows)
         if self.work_conservation and missed:
             self._work_conserve_rows(missed, table, ledger, allocation)
-        return allocation
 
     def next_wakeup(self, state: ClusterState, allocation: Allocation,
                     now: float) -> float | None:
@@ -159,14 +209,9 @@ class SaathScheduler(Scheduler):
             ]
         else:
             candidates = state.active_coflows
-        best = math.inf
-        for coflow in candidates:
-            dt = self.tracker.next_transition_time(
-                coflow, allocation.rates,
-                pending_rows=state.pending_rows(coflow),
-            )
-            if dt < math.inf:
-                best = min(best, now + max(dt, 0.0))
+        dt = self.tracker.earliest_transition(state, candidates,
+                                              allocation.rates)
+        best = now + max(dt, 0.0) if dt < math.inf else math.inf
         if self.config.deadline_factor is not None:
             best = min(best, self.tracker.next_deadline_after(now))
         if not math.isfinite(best) or best <= now:
@@ -200,11 +245,14 @@ class SaathScheduler(Scheduler):
                        if c.coflow_id in dirty]
         else:
             coflows = state.active_coflows
-        for coflow in coflows:
+        # Each coflow's target queue depends only on its own bytes and
+        # width, so every metric can be read before any placement.
+        metrics = self.tracker.metric_values(coflows, state.table)
+        for coflow, metric in zip(coflows, metrics):
             if coflow.coflow_id in self._dynamics_mode:
                 if self._apply_promotion(coflow, now):
                     moved.add(coflow.coflow_id)
-            elif self.tracker.refresh(coflow, now):
+            elif self.tracker.refresh(coflow, now, metric):
                 moved.add(coflow.coflow_id)
         return moved
 
@@ -217,8 +265,10 @@ class SaathScheduler(Scheduler):
 
     def _scheduling_order(self, state: ClusterState, now: float,
                           incremental: bool,
-                          queue_moves: set[int]) -> list[CoFlow]:
-        """Starved coflows first, then queues top-down, LCoF within each."""
+                          queue_moves: set[int]) -> tuple[list[CoFlow], int]:
+        """Starved coflows first, then queues top-down, LCoF within each.
+
+        Returns the order and the number of starved coflows heading it."""
         starving: list[CoFlow] = []
         per_queue: dict[int, list[CoFlow]] = {}
         for coflow in state.active_coflows:
@@ -231,8 +281,8 @@ class SaathScheduler(Scheduler):
                 ).append(coflow)
 
         starving.sort(key=lambda c: (self.tracker.deadline_of(c), c.coflow_id))
-        self.starvation_admissions += len(starving)
 
+        head = len(starving)
         order = starving
         contention = None
         if self.use_lcof:
@@ -254,7 +304,7 @@ class SaathScheduler(Scheduler):
             else:  # FIFO within the queue
                 members.sort(key=lambda c: (c.arrival_time, c.coflow_id))
                 order.extend(members)
-        return order
+        return order, head
 
     def _contention_counts(self, state: ClusterState, incremental: bool,
                            queue_moves: set[int]) -> dict[int, int]:

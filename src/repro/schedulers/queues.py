@@ -11,16 +11,28 @@ Two transition metrics are supported, selected by the owner:
 * ``"total"``  — Aalo: total bytes sent by the coflow vs ``Q_hi``.
 * ``"perflow"`` — Saath: max bytes sent by any flow vs ``Q_hi / width``
   (Eq. 1, §4.2 D3).
+
+Saath reads both per-flow quantities for many coflows per round, so on a
+compiled flow table each is one call into :mod:`repro._fastcore`:
+:meth:`QueueTracker.metric_values` (``max_bytes_sent``) for the queue
+refresh and :meth:`QueueTracker.earliest_transition`
+(``per_flow_transitions``) for the wakeup. Their Python loops over
+:meth:`QueueTracker.metric_value` and
+:meth:`QueueTracker.next_transition_time` are the twins.
 """
 
 from __future__ import annotations
 
 import math
+from typing import TYPE_CHECKING
 
 from .._fastcore import core as _core
 from ..config import SimulationConfig
 from ..errors import SchedulerError
 from ..simulator.flows import CoFlow
+
+if TYPE_CHECKING:  # pragma: no cover - annotations only
+    from ..simulator.state import ClusterState, FlowTable
 
 
 class QueueTracker:
@@ -45,6 +57,10 @@ class QueueTracker:
         #: queue index -> number of resident coflows (kept incrementally so
         #: deadline assignment is O(1) instead of an O(coflows) scan).
         self._population: dict[int, int] = {}
+        qcfg = config.queues
+        #: Q_hi of each queue but the last (the infinite one).
+        self._finite_hi = [qcfg.hi_threshold(q)
+                           for q in range(qcfg.num_queues - 1)]
 
     # ---- membership ---------------------------------------------------------
 
@@ -93,28 +109,49 @@ class QueueTracker:
             return coflow.bytes_sent
         return coflow.max_flow_bytes_sent
 
-    def target_queue(self, coflow: CoFlow) -> int:
-        """Queue the coflow *should* be in given its progress metric.
+    def metric_values(self, coflows: "list[CoFlow]",
+                      table: "FlowTable") -> list[float]:
+        """:meth:`metric_value` of each coflow, all attached to ``table``.
+
+        On a compiled table the per-flow metric ``m_c`` of every coflow
+        comes from one ``max_bytes_sent`` call over all of its rows,
+        finished ones included, as :attr:`CoFlow.max_flow_bytes_sent`
+        reads them.
+        """
+        if self.metric == "perflow" and table.fastcore and _core is not None:
+            if self.metrics is not None:
+                self.metrics.inc("kernel.max_bytes_sent.fastcore")
+            return _core.max_bytes_sent([c._rows for c in coflows],
+                                        table.bytes_sent)
+        return [self.metric_value(c) for c in coflows]
+
+    def target_queue(self, coflow: CoFlow,
+                     metric: "float | None" = None) -> int:
+        """Queue the coflow *should* be in given its progress metric
+        (``metric``, when the caller already read :meth:`metric_value`).
 
         Queues are demotion-only here (progress only grows); §4.3 promotion
         is applied by Saath's dynamics handler, which calls
         :meth:`force_queue` explicitly.
         """
+        if metric is None:
+            metric = self.metric_value(coflow)
         qcfg = self.config.queues
         if self.metric == "total":
-            return qcfg.queue_for_bytes(coflow.bytes_sent)
-        return qcfg.queue_for_per_flow_bytes(
-            coflow.max_flow_bytes_sent, coflow.width
-        )
+            return qcfg.queue_for_bytes(metric)
+        return qcfg.queue_for_per_flow_bytes(metric, coflow.width)
 
-    def refresh(self, coflow: CoFlow, now: float) -> bool:
+    def refresh(self, coflow: CoFlow, now: float,
+                metric: "float | None" = None) -> bool:
         """Move the coflow to its target queue if it crossed a threshold.
 
-        Returns True if the queue changed. Demotion-only (never moves a
-        coflow to a higher-priority queue; see :meth:`force_queue`).
+        ``metric`` is the coflow's :meth:`metric_value`, when the caller
+        already read it. Returns True if the queue changed. Demotion-only
+        (never moves a coflow to a higher-priority queue; see
+        :meth:`force_queue`).
         """
         current = self.queue_of(coflow)
-        target = self.target_queue(coflow)
+        target = self.target_queue(coflow, metric)
         if target > current:
             self._place(coflow, target, now)
             return True
@@ -188,9 +225,9 @@ class QueueTracker:
             bs = tbl.bytes_sent
             if tbl.fastcore and _core is not None:
                 if self.metrics is not None:
-                    self.metrics.inc("kernel.per_flow_transition.fastcore")
-                return _core.per_flow_transition(
-                    rows, fid, ft, vol, bs, rates, per_flow_hi
+                    self.metrics.inc("kernel.per_flow_transitions.fastcore")
+                return _core.per_flow_transitions(
+                    [(rows, per_flow_hi)], fid, ft, vol, bs, rates
                 )
             for i in rows:
                 if ft[i] is not None:
@@ -228,6 +265,48 @@ class QueueTracker:
                 continue
             if per_flow_hi <= f.volume:
                 best = min(best, (per_flow_hi - f.bytes_sent) / rate)
+        return best
+
+    def earliest_transition(self, state: "ClusterState",
+                            coflows: "list[CoFlow]",
+                            rates: dict[int, float]) -> float:
+        """Seconds from now until the first of ``coflows`` (active in
+        ``state``) crosses its queue threshold: the minimum of
+        :meth:`next_transition_time` over them, each walking its pending
+        rows.
+
+        On a compiled table the per-flow metric takes one
+        ``per_flow_transitions`` call over every coflow not in the last
+        queue. The minimum commutes with the caller's ``now + dt``: float
+        addition is monotone, so one call gives the same instant.
+        """
+        table = state.table
+        if self.metric == "perflow" and table.fastcore and _core is not None:
+            # Q_hi of every queue but the last, whose coflows never cross.
+            hi = self._finite_hi
+            last = len(hi)
+            qmap = self._queue
+            rows_of = state.pending_row_map
+            try:
+                pairs = [(rows_of[c.coflow_id], hi[q] / c.width)
+                         for c in coflows if (q := qmap[c.coflow_id]) < last]
+            except KeyError:
+                for coflow in coflows:
+                    self.queue_of(coflow)  # names the untracked coflow
+                raise
+            if self.metrics is not None:
+                self.metrics.inc("kernel.per_flow_transitions.fastcore")
+            return _core.per_flow_transitions(
+                pairs, table.flow_id, table.finish_time, table.volume,
+                table.bytes_sent, rates,
+            )
+        best = math.inf
+        for coflow in coflows:
+            dt = self.next_transition_time(
+                coflow, rates, pending_rows=state.pending_rows(coflow)
+            )
+            if dt < best:
+                best = dt
         return best
 
     # ---- starvation deadlines (§4.2 D5) --------------------------------------

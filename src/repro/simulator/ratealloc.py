@@ -31,7 +31,9 @@ asserted by the equivalence tests):
   off the table columns (core links ``-1`` when absent, always on a big
   switch) and indexes the ledger's dense per-link lists, with no attribute
   or dict dispatch in the fill loops. With ``table.fastcore`` set each row
-  form dispatches to its compiled twin in :mod:`repro._fastcore`;
+  form dispatches to its compiled twin in :mod:`repro._fastcore`, except
+  :func:`equal_rate_for_coflow_rows`, whose compiled twin is part of
+  Saath's round kernel;
 * the object form (``flows``: a sequence of :class:`Flow`), port-only —
   the readable reference oracle the allocator fuzz pins the row forms to;
 * ``*_paths`` twins (:func:`max_min_fair_paths`, :func:`madd_rates_paths`,
@@ -557,16 +559,13 @@ def equal_rate_for_coflow_rows(
     paths. Each link's cap is the same division either way and the
     minimum over the same set of caps is the same float, so both branches
     agree bitwise with the per-flow minimum of the object forms.
+
+    It has no compiled dispatch of its own: with the compiled core,
+    Saath's whole round, this rule included, is one ``saath_round`` call
+    (:meth:`~repro.core.saath.SaathScheduler.schedule`), and this form is
+    its Python twin.
     """
     metrics = ledger._metrics
-    if table.fastcore and _core is not None:
-        if metrics is not None:
-            metrics.inc("kernel.equal_rate_rows.fastcore")
-        return _core.equal_rate_rows(
-            rows, table.finish_time, table.src, table.dst, table.link_a,
-            table.link_b, table.flow_id, ledger.capacity_list,
-            ledger.used_list, ledger.touched_set, port_counts,
-        )
     if metrics is not None:
         metrics.inc("kernel.equal_rate_rows.python")
     ft = table.finish_time

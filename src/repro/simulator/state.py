@@ -415,6 +415,13 @@ class ClusterState:
         """
         return self._pending_rows.get(coflow.coflow_id)
 
+    @property
+    def pending_row_map(self) -> dict[int, list[int]]:
+        """Live ``coflow_id → pending rows`` mapping of the active coflows
+        (read-only by convention): per-round hot loops index it directly
+        instead of paying a method call per :meth:`pending_rows` lookup."""
+        return self._pending_rows
+
     def schedulable_rows(self, coflow: CoFlow, now: float) -> list[int]:
         """Table rows of the unfinished flows of active ``coflow`` whose
         data is available at ``now``, in ``flows`` order.

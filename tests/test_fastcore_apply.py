@@ -1,13 +1,15 @@
-"""The compiled apply kernels: twins of the session's Python loops, and
-leak-free under repetition.
+"""The compiled apply kernels as twins of the session's Python loops, and
+every compiled kernel leak-free under repetition.
 
 ``apply_full_collect`` / ``apply_full_commit`` are the collect and commit
 steps of a full apply and ``apply_diff`` the core of a diffed one. The
 engine-level fuzz (``tests/test_fuzz_equivalence.py``) pins them against
 their Python twins on whole runs; here they are driven directly, with the
-rate values a run never produces (NaN, negative, ``-0.0``, int) and with
-10k repeated calls that must leave every input's reference count and the
-traced heap flat.
+rate values a run never produces (NaN, negative, ``-0.0``, int).
+
+Every function the extension exports is called 10k times, which must leave
+every input's reference count and the traced heap flat. A kernel missing
+from that check fails ``test_every_exported_kernel_is_leak_checked``.
 """
 
 from __future__ import annotations
@@ -21,6 +23,7 @@ from array import array
 import pytest
 
 from repro import _fastcore
+from repro.errors import CapacityViolationError
 from repro.simulator.session import _collect_full, _commit_full
 
 pytestmark = pytest.mark.skipif(
@@ -216,3 +219,141 @@ def test_apply_diff_does_not_leak():
               gated, efficiency]
     # Each measured call applies both allocations, ending where it began.
     _assert_flat(lambda: (call(), call()), inputs)
+
+
+#: Links of the path columns below: 8 sender ports, 8 receiver ports and
+#: four core links.
+HOSTS = 8
+NLINKS = 2 * HOSTS + 4
+
+
+def _path_columns(rng: random.Random):
+    """``src, dst, link_a, link_b`` columns; half the rows cross the core."""
+    n = BASE + N
+    src = array("q", [rng.randrange(HOSTS) for _ in range(n)])
+    dst = array("q", [HOSTS + rng.randrange(HOSTS) for _ in range(n)])
+    la = array("q", [-1] * n)
+    lb = array("q", [-1] * n)
+    for i in range(n):
+        if rng.random() < 0.5:
+            la[i] = 2 * HOSTS + rng.randrange(2)
+            lb[i] = 2 * HOSTS + 2 + rng.randrange(2)
+    return src, dst, la, lb
+
+
+def _kernel_cases():
+    """Kernel name -> (call, inputs, reset) for the leak check. ``reset``
+    puts back what a call writes (ledger usage, output containers,
+    advanced bytes), so every call sees the same state."""
+    core = _fastcore.core
+    rng = random.Random(23)
+    now = 0.5
+    fid, cid, rt, avail, ft, st = _columns(rng, now)
+    n = BASE + N
+    vol = array("d", [2e6] * n)
+    bs = array("d", [rng.random() * 1e6 for _ in range(n)])
+    bs0 = array("d", bs)
+    src, dst, la, lb = _path_columns(rng)
+    lcap = array("d", [1e6] * NLINKS)
+    lused = array("d", bytes(8 * NLINKS))
+    zero = array("d", bytes(8 * NLINKS))
+    touched: set = set()
+    rates: dict = {}
+    scheduled: set = set()
+    conserved: set = set()
+    out: list = []
+    row_lists = _row_lists(rng)
+    rows = [i for run in row_lists for i in run]
+    running = {i: None for i in rows if ft[i] is None}
+    live = [i for i in rows if ft[i] is None]
+    given = _rates(rng, fid, row_lists, odd=False)
+    path = [src, dst, la, lb]
+    ledger = [lcap, lused, touched]
+
+    def reset():
+        lused[:] = zero
+        bs[:] = bs0
+        for box in (touched, rates, scheduled, conserved, out):
+            box.clear()
+
+    # Every sent count is below these thresholds, so each call walks every
+    # pair; `crossed` ends at an immediate crossing instead.
+    pairs = [(run, 1.5e6 + k) for k, run in enumerate(row_lists)]
+    crossed = [(run, 1.0) for run in row_lists]
+    runs = [(k % 3, run) for k, run in enumerate(row_lists)]
+    weights = [4.0, 2.0, 1.0]
+    return {
+        "set_capacity_error": (
+            lambda: core.set_capacity_error(CapacityViolationError),
+            [CapacityViolationError], reset),
+        "mmf_fill": (
+            lambda: core.mmf_fill(live, *path, *ledger, None, True),
+            [live, *path, *ledger], reset),
+        "madd_rows": (
+            lambda: core.madd_rows(rows, ft, vol, bs, *path, fid, *ledger),
+            [rows, ft, vol, bs, *path, fid, *ledger], reset),
+        "greedy_rows": (
+            lambda: core.greedy_rows(rows, ft, fid, *path, *ledger),
+            [rows, ft, fid, *path, *ledger], reset),
+        "advance_running": (
+            lambda: core.advance_running(running, vol, bs, rt, 0.25),
+            [running, vol, bs, rt], reset),
+        "advance_collect": (
+            lambda: core.advance_collect(running, vol, bs, rt, ft, 0.25,
+                                         1e-6, out),
+            [running, vol, bs, rt, ft, out], reset),
+        "scan_candidates": (
+            lambda: core.scan_candidates(running, vol, bs, rt, ft, 1e-6),
+            [running, vol, bs, rt, ft], reset),
+        "scan_completions": (
+            lambda: core.scan_completions(running, vol, bs, rt, ft, 1e-6,
+                                          now),
+            [running, vol, bs, rt, ft], reset),
+        "diff_changed": (
+            lambda: core.diff_changed(given, {}),
+            [given], reset),
+        "aalo_ports": (
+            lambda: core.aalo_ports(runs, weights, *path, fid, cid,
+                                    *ledger, rates, scheduled),
+            [runs, weights, *path, fid, cid, *ledger, rates, scheduled],
+            reset),
+        "saath_round": (
+            lambda: core.saath_round(row_lists, now, True, 1.0, True, ft,
+                                     avail, *path, fid, cid, *ledger, rates,
+                                     scheduled, conserved),
+            [row_lists, ft, avail, *path, fid, cid, *ledger, rates,
+             scheduled, conserved], reset),
+        "total_rate_rows": (
+            lambda: core.total_rate_rows(rows, fid, ft, given),
+            [rows, fid, ft, given], reset),
+        "per_flow_transitions": (
+            lambda: (core.per_flow_transitions(pairs, fid, ft, vol, bs,
+                                               given),
+                     core.per_flow_transitions(crossed, fid, ft, vol, bs,
+                                               given)),
+            [pairs, crossed, fid, ft, vol, bs, given], reset),
+        "max_bytes_sent": (
+            lambda: core.max_bytes_sent(row_lists, bs),
+            [row_lists, bs], reset),
+        "positive_rows": (
+            lambda: core.positive_rows(live, [1.5] * len(live), fid, cid,
+                                       rates, scheduled),
+            [live, fid, cid, rates, scheduled], reset),
+    }
+
+
+#: Kernels whose leak checks are the dedicated tests above.
+APPLY_KERNELS = {"apply_full_collect", "apply_full_commit", "apply_diff"}
+
+
+def test_every_exported_kernel_is_leak_checked():
+    exported = {name for name in dir(_fastcore.core)
+                if not name.startswith("_")
+                and callable(getattr(_fastcore.core, name))}
+    assert exported == set(_kernel_cases()) | APPLY_KERNELS
+
+
+@pytest.mark.parametrize("name", list(_kernel_cases()))
+def test_kernel_does_not_leak(name):
+    call, inputs, reset = _kernel_cases()[name]
+    _assert_flat(call, inputs, reset)

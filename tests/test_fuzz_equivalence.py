@@ -37,8 +37,9 @@ ledger state) — the object forms are the readable reference oracle. The
 path-aware allocator twins (``*_paths``) join the same fuzz with a
 big-switch path map: on paths with no core links they must be
 bit-identical to the port-only forms. The ``*-fastcore`` variants run the
-same trials with ``table.fastcore`` set, routing the row forms through the
-compiled kernels — they skip cleanly when the extension is not built.
+same trials with ``table.fastcore`` set, routing the row forms that have
+a compiled dispatch through the compiled kernels — they skip cleanly when
+the extension is not built.
 
 A third fuzz runs the row forms on *multi-rack* path maps, whose core
 links (filled into the table's ``link_a`` / ``link_b`` columns) saturate:
@@ -315,7 +316,7 @@ def _random_attached_flows(rng: random.Random, machines: int):
 @pytest.mark.parametrize("allocator", [
     "mmf", "madd", "equal", "greedy",
     "mmf-paths", "madd-paths", "equal-paths",
-    "mmf-fastcore", "madd-fastcore", "equal-fastcore", "greedy-fastcore",
+    "mmf-fastcore", "madd-fastcore", "greedy-fastcore",
 ])
 def test_row_allocators_match_object_allocators(allocator):
     """Row-path and path-aware allocators are bit-identical to the object
@@ -324,7 +325,9 @@ def test_row_allocators_match_object_allocators(allocator):
     ``(src, dst)``, so the port-only arithmetic must reproduce exactly).
     The ``*-fastcore`` variants set ``table.fastcore`` so the row forms
     dispatch to the compiled kernels, fuzzing C directly against the
-    object allocators; they skip when the extension is not built."""
+    object allocators; they skip when the extension is not built. The
+    equal-rate form has no compiled dispatch (its C twin is part of
+    Saath's round kernel, fuzzed in ``tests/test_saath_kernels.py``)."""
     fastcore = allocator.endswith("-fastcore")
     if fastcore:
         if not _fastcore.AVAILABLE:
@@ -396,9 +399,20 @@ def _attach_paths(table, rows, paths: PathMap) -> None:
         table.set_links(i, paths.extra_links(table.src[i], table.dst[i]))
 
 
-@pytest.mark.parametrize("fastcore", [False, True],
-                         ids=["python", "fastcore"])
-@pytest.mark.parametrize("allocator", ["mmf", "madd", "equal", "greedy"])
+#: (allocator, fastcore) legs of the core-link fuzz: every row form in
+#: Python, and each one with a compiled dispatch through C.
+CORE_LINK_LEGS = [
+    (allocator, fastcore)
+    for allocator in ("mmf", "madd", "equal", "greedy")
+    for fastcore in (False, True)
+    if not (fastcore and allocator == "equal")
+]
+
+
+@pytest.mark.parametrize(
+    "allocator,fastcore", CORE_LINK_LEGS,
+    ids=[f"{a}-{'fastcore' if fc else 'python'}" for a, fc in CORE_LINK_LEGS],
+)
 def test_row_allocators_match_paths_on_core_links(allocator, fastcore):
     """Row forms walk ``src, dst, link_a, link_b`` exactly like the
     ``*_paths`` object twins walk a pair's path: same rates, same residual
@@ -457,15 +471,11 @@ def test_row_allocators_match_paths_on_core_links(allocator, fastcore):
     assert saw_core_bottleneck  # the fuzz really saturates core links
 
 
-@pytest.mark.parametrize("fastcore", [False, True],
-                         ids=["python", "fastcore"])
-def test_capacity_violation_names_the_same_link_in_every_form(fastcore):
+def test_capacity_violation_names_the_same_link_in_every_form():
     """Stale per-link counts (every count 1) make the equal rate
     overcommit the coflow's bottleneck. Each form commits link by link in
     path order (sender, receiver, core links), so the error names the
-    same link, with the same figures, in the object, row and C forms."""
-    if fastcore and not _fastcore.AVAILABLE:
-        pytest.skip("repro._fastcore extension not built")
+    same link, with the same figures, in the object and row forms."""
     fabric = Fabric(num_machines=4, port_rate=100.0)
     topo = LeafSpineTopology(fabric, racks=2, spines=1, oversub=4.0)
     paths = PathMap(topo)
@@ -476,7 +486,6 @@ def test_capacity_violation_names_the_same_link_in_every_form(fastcore):
     table = FlowTable()
     rows = [table.adopt(f, pos) for pos, f in enumerate(flows)]
     _attach_paths(table, rows, paths)
-    table.fastcore = fastcore
     stale = {link: 1 for f in flows
              for link in (f.src, f.dst, *paths.extra_links(f.src, f.dst))}
     coflow_stub = CoFlow(coflow_id=1, arrival_time=0.0, flows=[])

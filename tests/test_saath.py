@@ -148,6 +148,27 @@ class TestStarvation:
         assert saath.starvation_admissions > 0
         assert 1 in alloc.scheduled_coflows
 
+    @pytest.mark.parametrize("fastcore", [False, True],
+                             ids=["python", "fastcore"])
+    def test_counts_only_admitted_starving_coflows(self, fastcore):
+        """Two coflows past their deadlines share sender 0: all-or-none
+        admits the first, whose rate fills the port, and rejects the
+        second. One coflow took the starvation path, not two."""
+        from repro import _fastcore
+        if fastcore and not _fastcore.AVAILABLE:
+            pytest.skip("repro._fastcore extension not built")
+        fab = _fabric()
+        saath = SaathScheduler(_cfg(deadline_factor=1.0))
+        first = make_coflow(1, 0.0, [(0, fab.receiver_port(4), 1e5)],
+                            flow_id_start=0)
+        second = make_coflow(2, 0.0, [(0, fab.receiver_port(5), 1e5)],
+                             flow_id_start=10)
+        state = _state(fab, [first, second], saath)
+        state.table.fastcore = fastcore
+        alloc = saath.schedule(state, now=1e6)
+        assert alloc.scheduled_coflows == {1}
+        assert saath.starvation_admissions == 1
+
     def test_no_starvation_handling_when_disabled(self):
         fab = _fabric()
         saath = SaathScheduler(_cfg(deadline_factor=None))
