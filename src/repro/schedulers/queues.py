@@ -57,10 +57,6 @@ class QueueTracker:
         #: queue index -> number of resident coflows (kept incrementally so
         #: deadline assignment is O(1) instead of an O(coflows) scan).
         self._population: dict[int, int] = {}
-        qcfg = config.queues
-        #: Q_hi of each queue but the last (the infinite one).
-        self._finite_hi = [qcfg.hi_threshold(q)
-                           for q in range(qcfg.num_queues - 1)]
 
     # ---- membership ---------------------------------------------------------
 
@@ -223,12 +219,6 @@ class QueueTracker:
             fid = tbl.flow_id
             vol = tbl.volume
             bs = tbl.bytes_sent
-            if tbl.fastcore and _core is not None:
-                if self.metrics is not None:
-                    self.metrics.inc("kernel.per_flow_transitions.fastcore")
-                return _core.per_flow_transitions(
-                    [(rows, per_flow_hi)], fid, ft, vol, bs, rates
-                )
             for i in rows:
                 if ft[i] is not None:
                     continue
@@ -283,8 +273,9 @@ class QueueTracker:
         table = state.table
         if self.metric == "perflow" and table.fastcore and _core is not None:
             # Q_hi of every queue but the last, whose coflows never cross.
-            hi = self._finite_hi
-            last = len(hi)
+            qcfg = self.config.queues
+            last = qcfg.num_queues - 1
+            hi = [qcfg.hi_threshold(q) for q in range(last)]
             qmap = self._queue
             rows_of = state.pending_row_map
             try:

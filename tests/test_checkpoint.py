@@ -208,6 +208,35 @@ def test_pre_heap_removal_checkpoint_resumes_byte_identical(policy, tmp_path,
     assert _fingerprint(resumed.run()) == full
 
 
+# ---- checkpoints from before Saath's round was compiled --------------------
+
+#: The instance attributes a QueueTracker pickled before Saath's round and
+#: queue scans moved into the compiled core. Unpickling skips ``__init__``,
+#: so the tracker may read nothing else at run time.
+_PRE_COMPILED_ROUND_TRACKER = frozenset({
+    "config", "metric", "_queue", "_entered", "_deadline", "_population",
+    "tracer", "metrics",
+})
+
+
+def test_pre_compiled_round_checkpoint_resumes_byte_identical(tmp_path):
+    """A Saath checkpoint whose queue tracker carries only the attributes
+    it had before the round was compiled must resume, on either build, to
+    the uninterrupted run's result."""
+    full = _fingerprint(_session("saath", *_workload()).run())
+    fabric, coflows = _workload()
+    session = _session("saath", fabric, coflows)
+    arrivals = sorted(c.arrival_time for c in coflows)
+    session.run_until(arrivals[len(arrivals) // 2])
+    snap = session.snapshot()
+    saved = snap.payload["scheduler"].tracker.__dict__
+    for name in set(saved) - _PRE_COMPILED_ROUND_TRACKER:
+        del saved[name]
+    path = snap.save(tmp_path / "pre-compiled-round.ckpt")
+    resumed = SimulationSession.restore(SessionSnapshot.load(path))
+    assert _fingerprint(resumed.run()) == full
+
+
 # ---- file-format integrity -------------------------------------------------
 
 

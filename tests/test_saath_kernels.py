@@ -10,8 +10,8 @@
   dict order), both coflow sets, the ledger's usage and its touched set.
 * ``per_flow_transitions`` (:meth:`QueueTracker.earliest_transition`)
   against the per-coflow loop over :meth:`QueueTracker.next_transition_time`
-  in Python, including coflows in the last queue, immediate crossings and
-  unreachable thresholds.
+  in Python, including coflows in the last queue, immediate crossings,
+  unreachable thresholds and, over every row, finished flows.
 * ``max_bytes_sent`` (:meth:`QueueTracker.metric_values`) against
   :attr:`CoFlow.max_flow_bytes_sent`.
 
@@ -193,17 +193,20 @@ def test_batched_wakeup_matches_per_coflow_loop():
         got = tracker.earliest_transition(state, coflows, rates)
         assert got.hex() == expected.hex(), f"trial {trial}"
         assert (NOW + max(got, 0.0) if got < math.inf else math.inf) == instant
-        # The one-pair call inside next_transition_time, over the pending
-        # rows and over all rows (finished ones included).
-        for c, dt in zip(coflows, one_by_one):
-            single = tracker.next_transition_time(
-                c, rates, pending_rows=state.pending_rows(c))
-            assert single.hex() == dt.hex(), f"trial {trial}"
-            state.table.fastcore = False
-            every_row = tracker.next_transition_time(c, rates)
-            state.table.fastcore = True
-            assert (tracker.next_transition_time(c, rates).hex()
-                    == every_row.hex()), f"trial {trial}"
+        # The pending rows never hold a finished flow; over every row the
+        # kernel must skip those as the Python scan does.
+        qcfg = tracker.config.queues
+        pairs = [(c._rows, qcfg.hi_threshold(q) / c.width) for c in coflows
+                 if (q := tracker.queue_of(c)) < qcfg.num_queues - 1]
+        table = state.table
+        every_row = _fastcore.core.per_flow_transitions(
+            pairs, table.flow_id, table.finish_time, table.volume,
+            table.bytes_sent, rates,
+        )
+        assert every_row.hex() == min(
+            (tracker.next_transition_time(c, rates) for c in coflows),
+            default=math.inf,
+        ).hex(), f"trial {trial}"
         immediate += expected == 0.0
         finite += 0.0 < expected < math.inf
     assert immediate > 20 and finite > 20
