@@ -456,295 +456,6 @@ done:
     return result;
 }
 
-/* madd_rows(rows, ft, vol, bs, src, dst, link_a, link_b, fid, lcap, lused,
- *           touched) -> dict[int, float]    (madd_rates_rows twin) */
-static PyObject *
-madd_rows(PyObject *self, PyObject *args)
-{
-    PyObject *rows_o, *ft, *vol_o, *bs_o, *src_o, *dst_o, *la_o, *lb_o;
-    PyObject *fid_o, *lcap_o, *lused_o, *touched;
-    if (!PyArg_ParseTuple(args, "OOOOOOOOOOOO", &rows_o, &ft, &vol_o,
-                          &bs_o, &src_o, &dst_o, &la_o, &lb_o, &fid_o,
-                          &lcap_o, &lused_o, &touched))
-        return NULL;
-    if (!PyList_CheckExact(ft)) {
-        PyErr_SetString(PyExc_TypeError,
-                        "fastcore: finish_time must be a list");
-        return NULL;
-    }
-
-    bufs B = {.n = 0};
-    pathcols P;
-    PyObject *fast = NULL, *rates = NULL;
-    Py_ssize_t *todo = NULL;
-    double *left = NULL, *lbytes = NULL;
-    int64_t *order = NULL;
-    char *seen = NULL;
-
-    Py_ssize_t nlinks;
-    double *vol = NULL, *bs = NULL, *lcap = NULL, *lused = NULL;
-    int64_t *fid = NULL;
-    if (pathcols_get(&B, &P, src_o, dst_o, la_o, lb_o) == 0) {
-        vol = bufs_get(&B, vol_o, 'd', NULL, "table.volume");
-        bs = vol ? bufs_get(&B, bs_o, 'd', NULL, "table.bytes_sent") : NULL;
-        fid = bs ? bufs_get(&B, fid_o, 'q', NULL, "table.flow_id") : NULL;
-        lcap = fid ? bufs_get(&B, lcap_o, 'd', &nlinks, "capacity_list")
-                   : NULL;
-        lused = lcap ? bufs_get(&B, lused_o, 'd', NULL, "used_list") : NULL;
-    }
-    if (lused == NULL)
-        goto fail;
-    Py_ssize_t ncols = P.n;
-
-    fast = PySequence_Fast(rows_o, "fastcore: rows must be a sequence");
-    if (fast == NULL)
-        goto fail;
-    Py_ssize_t n = PySequence_Fast_GET_SIZE(fast);
-    PyObject **items = PySequence_Fast_ITEMS(fast);
-
-    todo = PyMem_New(Py_ssize_t, n > 0 ? n : 1);
-    left = PyMem_New(double, n > 0 ? n : 1);
-    lbytes = PyMem_New(double, nlinks > 0 ? nlinks : 1);
-    order = PyMem_New(int64_t, n > 0 ? MAX_PATH * n : 1);
-    seen = PyMem_New(char, nlinks > 0 ? nlinks : 1);
-    if (!todo || !left || !lbytes || !order || !seen) {
-        PyErr_NoMemory();
-        goto fail;
-    }
-    memset(seen, 0, (size_t)(nlinks > 0 ? nlinks : 1));
-
-    /* Fused liveness filter + per-link byte aggregation, in row order. */
-    Py_ssize_t nt = 0, no = 0;
-    if (PyList_GET_SIZE(ft) < ncols) {
-        PyErr_SetString(PyExc_ValueError,
-                        "fastcore: finish_time shorter than table columns");
-        goto fail;
-    }
-    for (Py_ssize_t k = 0; k < n; k++) {
-        Py_ssize_t i = as_row(items[k], ncols, "rows");
-        if (i < 0)
-            goto fail;
-        if (PyList_GET_ITEM(ft, i) != Py_None)
-            continue;
-        double remaining = vol[i] - bs[i];
-        if (remaining <= 0.0)
-            continue;
-        todo[nt] = i;
-        left[nt] = remaining;
-        nt++;
-        int64_t path[MAX_PATH];
-        int np = row_path(&P, i, nlinks, path);
-        if (np < 0)
-            goto fail;
-        for (int s = 0; s < np; s++) {
-            int64_t link = path[s];
-            if (!seen[link]) {
-                seen[link] = 1;
-                order[no++] = link;
-                lbytes[link] = remaining;
-            }
-            else {
-                lbytes[link] += remaining;
-            }
-        }
-    }
-    if (nt == 0) {
-        rates = PyDict_New();
-        goto done;
-    }
-
-    double gamma = 0.0;
-    for (Py_ssize_t o = 0; o < no; o++) {
-        int64_t link = order[o];
-        double residual = lcap[link] - lused[link];
-        if (residual <= 0.0) {
-            rates = PyDict_New();
-            goto done;
-        }
-        double share = lbytes[link] / residual;
-        if (share > gamma)
-            gamma = share;
-    }
-    if (gamma <= 0.0) {
-        rates = PyDict_New();
-        goto done;
-    }
-
-    /* Rate build + inlined path commit, in todo order (the Python fused
-     * loop: dict store, then the path commit). */
-    rates = PyDict_New();
-    if (rates == NULL)
-        goto fail;
-    for (Py_ssize_t t = 0; t < nt; t++) {
-        Py_ssize_t i = todo[t];
-        double rate = left[t] / gamma;
-        PyObject *key = PyLong_FromLongLong((long long)fid[i]);
-        PyObject *val = key ? PyFloat_FromDouble(rate) : NULL;
-        int r = val ? PyDict_SetItem(rates, key, val) : -1;
-        Py_XDECREF(key);
-        Py_XDECREF(val);
-        if (r < 0)
-            goto fail;
-        int64_t path[MAX_PATH];
-        row_path(&P, i, nlinks, path);
-        if (commit_path(lcap, lused, touched, path, rate) < 0)
-            goto fail;
-    }
-    goto done;
-
-fail:
-    Py_CLEAR(rates);
-done:
-    PyMem_Free(todo);
-    PyMem_Free(left);
-    PyMem_Free(lbytes);
-    PyMem_Free(order);
-    PyMem_Free(seen);
-    Py_XDECREF(fast);
-    bufs_release(&B);
-    return rates;
-}
-
-/* The work-conservation fill of greedy_residual_rates_rows, shared by
- * greedy_rows and saath_round.  Walk `rows` (already bounds-checked) in
- * order, skipping finished ones, and grant each the smallest residual along
- * its path, committed on every path link.  Links seen exhausted are
- * memoised: residuals only shrink within the walk, so a row crossing one
- * would get the zero-rate no-op anyway.  Each positive grant is stored in
- * rates[fid]; when `granted` is not NULL the row's coflow id joins it. */
-static int
-greedy_fill(const pathcols *P, PyObject *ft, const int64_t *fid,
-            const int64_t *cid, double *lcap, double *lused,
-            Py_ssize_t nlinks, PyObject *touched, const Py_ssize_t *rows,
-            Py_ssize_t n, PyObject *rates, PyObject *granted)
-{
-    char *dead = PyMem_New(char, nlinks > 0 ? nlinks : 1);
-    if (dead == NULL) {
-        PyErr_NoMemory();
-        return -1;
-    }
-    memset(dead, 0, (size_t)(nlinks > 0 ? nlinks : 1));
-    int rc = -1;
-    for (Py_ssize_t k = 0; k < n; k++) {
-        Py_ssize_t i = rows[k];
-        if (PyList_GET_ITEM(ft, i) != Py_None)
-            continue;
-        int64_t path[MAX_PATH];
-        int np = row_path(P, i, nlinks, path);
-        if (np < 0)
-            goto done;
-        double rate = INFINITY;
-        int s;
-        for (s = 0; s < np; s++) {
-            int64_t link = path[s];
-            if (dead[link])
-                break;
-            double other = lcap[link] - lused[link];
-            if (other < rate)
-                rate = other;
-        }
-        if (s < np)
-            continue; /* crosses an exhausted link: a zero-rate no-op */
-        if (rate > 0.0) {
-            for (s = 0; s < np; s++) {
-                lused[path[s]] += rate;
-                if (set_add_port(touched, path[s]) < 0)
-                    goto done;
-            }
-            PyObject *key = PyLong_FromLongLong((long long)fid[i]);
-            PyObject *val = key ? PyFloat_FromDouble(rate) : NULL;
-            int r = val ? PyDict_SetItem(rates, key, val) : -1;
-            Py_XDECREF(key);
-            Py_XDECREF(val);
-            if (r < 0)
-                goto done;
-            if (granted != NULL && set_add_port(granted, cid[i]) < 0)
-                goto done;
-        }
-        else {
-            for (s = 0; s < np; s++)
-                if (lcap[path[s]] - lused[path[s]] <= 0.0)
-                    dead[path[s]] = 1;
-        }
-    }
-    rc = 0;
-done:
-    PyMem_Free(dead);
-    return rc;
-}
-
-/* greedy_rows(rows, ft, fid, src, dst, link_a, link_b, lcap, lused,
- *             touched) -> dict[int, float]
- *   (greedy_residual_rates_rows twin) */
-static PyObject *
-greedy_rows(PyObject *self, PyObject *args)
-{
-    PyObject *rows_o, *ft, *fid_o, *src_o, *dst_o, *la_o, *lb_o;
-    PyObject *lcap_o, *lused_o, *touched;
-    if (!PyArg_ParseTuple(args, "OOOOOOOOOO", &rows_o, &ft, &fid_o, &src_o,
-                          &dst_o, &la_o, &lb_o, &lcap_o, &lused_o,
-                          &touched))
-        return NULL;
-    if (!PyList_CheckExact(ft)) {
-        PyErr_SetString(PyExc_TypeError,
-                        "fastcore: finish_time must be a list");
-        return NULL;
-    }
-
-    bufs B = {.n = 0};
-    pathcols P;
-    PyObject *fast = NULL, *rates = NULL;
-    Py_ssize_t *rows = NULL;
-
-    Py_ssize_t nlinks;
-    int64_t *fid = NULL;
-    double *lcap = NULL, *lused = NULL;
-    if (pathcols_get(&B, &P, src_o, dst_o, la_o, lb_o) == 0) {
-        fid = bufs_get(&B, fid_o, 'q', NULL, "table.flow_id");
-        lcap = fid ? bufs_get(&B, lcap_o, 'd', &nlinks, "capacity_list")
-                   : NULL;
-        lused = lcap ? bufs_get(&B, lused_o, 'd', NULL, "used_list") : NULL;
-    }
-    if (lused == NULL)
-        goto fail;
-    Py_ssize_t ncols = P.n;
-    if (PyList_GET_SIZE(ft) < ncols) {
-        PyErr_SetString(PyExc_ValueError,
-                        "fastcore: finish_time shorter than table columns");
-        goto fail;
-    }
-
-    fast = PySequence_Fast(rows_o, "fastcore: rows must be a sequence");
-    if (fast == NULL)
-        goto fail;
-    Py_ssize_t n = PySequence_Fast_GET_SIZE(fast);
-    PyObject **items = PySequence_Fast_ITEMS(fast);
-    rows = PyMem_New(Py_ssize_t, n > 0 ? n : 1);
-    if (rows == NULL) {
-        PyErr_NoMemory();
-        goto fail;
-    }
-    for (Py_ssize_t k = 0; k < n; k++) {
-        rows[k] = as_row(items[k], ncols, "rows");
-        if (rows[k] < 0)
-            goto fail;
-    }
-    rates = PyDict_New();
-    if (rates == NULL
-        || greedy_fill(&P, ft, fid, NULL, lcap, lused, nlinks, touched,
-                       rows, n, rates, NULL) < 0)
-        goto fail;
-    goto done;
-
-fail:
-    Py_CLEAR(rates);
-done:
-    PyMem_Free(rows);
-    Py_XDECREF(fast);
-    bufs_release(&B);
-    return rates;
-}
-
 /* ======================================================================
  * Session kernels (repro.simulator.session inner-loop twins)
  * ====================================================================== */
@@ -1869,7 +1580,7 @@ done:
     return result;
 }
 
-/* ---- Saath round kernel ------------------------------------------------ */
+/* ---- scheduling-round kernels ------------------------------------------ */
 
 /* A growable array of row indices. */
 typedef struct {
@@ -1895,48 +1606,145 @@ rowvec_reserve(rowvec *R, Py_ssize_t extra)
     return 0;
 }
 
-/* One coflow's all-or-none admission and D2 equal rate over its
- * schedulable rows `sched` (SaathScheduler._admissible_rows, then
- * equal_rate_for_coflow_rows).  Admission needs capacity - used >= min_rate
- * on every link of every row's path.  The rate is the minimum over the
- * links of the unfinished rows' paths of max(capacity - used, 0) / count,
- * where count is the number of unfinished rows crossing the link.  On a
- * finite positive rate every unfinished row gets it in rates[fid] and is
- * committed through commit_path, and the coflow joins `scheduled`.
- * `count` is all zero on entry and on exit; `links` holds MAX_PATH * m.
- * Returns 1 when scheduled, 0 when missed, -1 on error. */
+/* One call of saath_round or madd_round: its arguments, the buffers behind
+ * them and per-link scratch.  `count` is all zero between coflows; an
+ * admission step that sets entries resets them through `links`, the list
+ * of the links it set, in first-seen order. */
+typedef struct round_ctx round_ctx;
+
+/* Admit one coflow over its schedulable rows `sched`: on success store
+ * each granted rate in rates[fid], commit it on the row's path, add the
+ * coflow to `scheduled` and return 1; return 0 to leave the rows to the
+ * work-conservation fill, -1 on error. */
+typedef int (*admit_fn)(round_ctx *R, const Py_ssize_t *sched, Py_ssize_t m);
+
+struct round_ctx {
+    /* arguments (vol_o and bs_o stay NULL for saath_round) */
+    PyObject *runs, *ft, *avail_o, *vol_o, *bs_o, *src_o, *dst_o, *la_o,
+             *lb_o, *fid_o, *cid_o, *lcap_o, *lused_o, *touched, *rates,
+             *scheduled, *conserved;
+    double now, min_rate;
+    int respect, work_conservation;
+    /* the buffers behind them */
+    pathcols P;
+    double *avail, *vol, *bs, *lcap, *lused;
+    int64_t *fid, *cid;
+    Py_ssize_t nlinks;
+    /* per-link scratch */
+    Py_ssize_t *count;
+    int64_t *links;
+    double *lbytes;
+};
+
 static int
-saath_admit(const pathcols *P, PyObject *ft, const int64_t *fid,
-            const int64_t *cid, double *lcap, double *lused,
-            Py_ssize_t nlinks, PyObject *touched, double min_rate,
-            const Py_ssize_t *sched, Py_ssize_t m, Py_ssize_t *count,
-            int64_t *links, PyObject *rates, PyObject *scheduled)
+store_rate(PyObject *rates, int64_t flow_id, PyObject *rate)
 {
+    PyObject *key = PyLong_FromLongLong((long long)flow_id);
+    int r = key ? PyDict_SetItem(rates, key, rate) : -1;
+    Py_XDECREF(key);
+    return r;
+}
+
+/* The work-conservation fill of greedy_residual_rates_rows.  Walk `rows`
+ * (already bounds-checked) in order, skipping finished ones, and grant
+ * each the smallest residual along its path, committed on every path
+ * link.  Links seen exhausted are memoised: residuals only shrink within
+ * the walk, so a row crossing one would get the zero-rate no-op anyway.
+ * Each positive grant is stored in rates[fid] and the row's coflow id
+ * joins `conserved`. */
+static int
+greedy_fill(round_ctx *R, const Py_ssize_t *rows, Py_ssize_t n)
+{
+    Py_ssize_t nlinks = R->nlinks;
+    double *lcap = R->lcap, *lused = R->lused;
+    char *dead = PyMem_New(char, nlinks > 0 ? nlinks : 1);
+    if (dead == NULL) {
+        PyErr_NoMemory();
+        return -1;
+    }
+    memset(dead, 0, (size_t)(nlinks > 0 ? nlinks : 1));
+    int rc = -1;
+    for (Py_ssize_t k = 0; k < n; k++) {
+        Py_ssize_t i = rows[k];
+        if (PyList_GET_ITEM(R->ft, i) != Py_None)
+            continue;
+        int64_t path[MAX_PATH];
+        int np = row_path(&R->P, i, nlinks, path);
+        if (np < 0)
+            goto done;
+        double rate = INFINITY;
+        int s;
+        for (s = 0; s < np; s++) {
+            int64_t link = path[s];
+            if (dead[link])
+                break;
+            double other = lcap[link] - lused[link];
+            if (other < rate)
+                rate = other;
+        }
+        if (s < np)
+            continue; /* crosses an exhausted link: a zero-rate no-op */
+        if (rate > 0.0) {
+            for (s = 0; s < np; s++) {
+                lused[path[s]] += rate;
+                if (set_add_port(R->touched, path[s]) < 0)
+                    goto done;
+            }
+            PyObject *val = PyFloat_FromDouble(rate);
+            int r = val ? store_rate(R->rates, R->fid[i], val) : -1;
+            Py_XDECREF(val);
+            if (r < 0 || set_add_port(R->conserved, R->cid[i]) < 0)
+                goto done;
+        }
+        else {
+            for (s = 0; s < np; s++)
+                if (lcap[path[s]] - lused[path[s]] <= 0.0)
+                    dead[path[s]] = 1;
+        }
+    }
+    rc = 0;
+done:
+    PyMem_Free(dead);
+    return rc;
+}
+
+/* Saath's all-or-none admission and D2 equal rate
+ * (SaathScheduler._admissible_rows, then equal_rate_for_coflow_rows).
+ * Admission needs capacity - used >= min_rate on every link of every row's
+ * path.  The rate is the minimum over the links of the unfinished rows'
+ * paths of max(capacity - used, 0) / count, where count is the number of
+ * unfinished rows crossing the link.  On a finite positive rate every
+ * unfinished row gets it. */
+static int
+saath_admit(round_ctx *R, const Py_ssize_t *sched, Py_ssize_t m)
+{
+    double *lcap = R->lcap, *lused = R->lused;
+    Py_ssize_t *count = R->count;
     int64_t path[MAX_PATH];
     for (Py_ssize_t k = 0; k < m; k++) {
-        int np = row_path(P, sched[k], nlinks, path);
+        int np = row_path(&R->P, sched[k], R->nlinks, path);
         if (np < 0)
             return -1;
         for (int s = 0; s < np; s++)
-            if (lcap[path[s]] - lused[path[s]] < min_rate)
+            if (lcap[path[s]] - lused[path[s]] < R->min_rate)
                 return 0;
     }
 
     Py_ssize_t nl = 0, first = -1;
     for (Py_ssize_t k = 0; k < m; k++) {
-        if (PyList_GET_ITEM(ft, sched[k]) != Py_None)
+        if (PyList_GET_ITEM(R->ft, sched[k]) != Py_None)
             continue;
         if (first < 0)
             first = sched[k];
-        int np = row_path(P, sched[k], nlinks, path);
+        int np = row_path(&R->P, sched[k], R->nlinks, path);
         for (int s = 0; s < np; s++)
             if (count[path[s]]++ == 0)
-                links[nl++] = path[s];
+                R->links[nl++] = path[s];
     }
     /* the min over the same set of caps is the same float in any order */
     double rate = INFINITY;
     for (Py_ssize_t o = 0; o < nl; o++) {
-        int64_t link = links[o];
+        int64_t link = R->links[o];
         double r = lcap[link] - lused[link];
         double cap = (r >= 0.0 ? r : 0.0) / (double)count[link];
         if (cap < rate)
@@ -1952,95 +1760,151 @@ saath_admit(const pathcols *P, PyObject *ft, const int64_t *fid,
     int rc = -1;
     for (Py_ssize_t k = 0; k < m; k++) {
         Py_ssize_t i = sched[k];
-        if (PyList_GET_ITEM(ft, i) != Py_None)
+        if (PyList_GET_ITEM(R->ft, i) != Py_None)
             continue;
-        PyObject *key = PyLong_FromLongLong((long long)fid[i]);
-        int r = key ? PyDict_SetItem(rates, key, rate_obj) : -1;
-        Py_XDECREF(key);
-        if (r < 0)
+        if (store_rate(R->rates, R->fid[i], rate_obj) < 0)
             goto done;
-        row_path(P, i, nlinks, path);
-        if (commit_path(lcap, lused, touched, path, rate) < 0)
+        row_path(&R->P, i, R->nlinks, path);
+        if (commit_path(lcap, lused, R->touched, path, rate) < 0)
             goto done;
     }
-    rc = set_add_port(scheduled, cid[first]) < 0 ? -1 : 1;
+    rc = set_add_port(R->scheduled, R->cid[first]) < 0 ? -1 : 1;
 done:
     Py_DECREF(rate_obj);
     return rc;
 }
 
-/* saath_round(coflow_rows, now, respect_availability, min_rate,
- *             work_conservation, ft, avail, src, dst, link_a, link_b, fid,
- *             cid, lcap, lused, touched, rates, scheduled,
- *             work_conserved) -> None
- *
- * Compiled twin of SaathScheduler._round_rows.  `coflow_rows` holds each
+/* MADD (madd_rates_rows): over the unfinished rows with volume -
+ * bytes_sent > 0, sum those bytes per path link in first-seen order; Γ is
+ * the largest bytes / (capacity - used), and each row gets remaining / Γ.
+ * A link with capacity - used <= 0, Γ <= 0 or no such row leaves the
+ * coflow out. */
+static int
+madd_admit(round_ctx *R, const Py_ssize_t *sched, Py_ssize_t m)
+{
+    double *lcap = R->lcap, *lused = R->lused, *lbytes = R->lbytes;
+    Py_ssize_t *count = R->count;
+    int64_t path[MAX_PATH];
+    Py_ssize_t nl = 0, first = -1;
+    for (Py_ssize_t k = 0; k < m; k++) {
+        Py_ssize_t i = sched[k];
+        if (PyList_GET_ITEM(R->ft, i) != Py_None)
+            continue;
+        double remaining = R->vol[i] - R->bs[i];
+        if (remaining <= 0.0)
+            continue;
+        if (first < 0)
+            first = i;
+        int np = row_path(&R->P, i, R->nlinks, path);
+        if (np < 0)
+            return -1;
+        for (int s = 0; s < np; s++) {
+            int64_t link = path[s];
+            if (count[link]++ == 0) {
+                R->links[nl++] = link;
+                lbytes[link] = remaining;
+            }
+            else {
+                lbytes[link] += remaining;
+            }
+        }
+    }
+    double gamma = 0.0;
+    int blocked = 0;
+    for (Py_ssize_t o = 0; o < nl; o++) {
+        int64_t link = R->links[o];
+        count[link] = 0;
+        double residual = lcap[link] - lused[link];
+        if (residual <= 0.0) {
+            blocked = 1;
+            continue;
+        }
+        double share = lbytes[link] / residual;
+        if (share > gamma)
+            gamma = share;
+    }
+    if (first < 0 || blocked || gamma <= 0.0)
+        return 0;
+
+    for (Py_ssize_t k = 0; k < m; k++) {
+        Py_ssize_t i = sched[k];
+        if (PyList_GET_ITEM(R->ft, i) != Py_None)
+            continue;
+        double remaining = R->vol[i] - R->bs[i];
+        if (remaining <= 0.0)
+            continue;
+        double rate = remaining / gamma;
+        PyObject *val = PyFloat_FromDouble(rate);
+        int r = val ? store_rate(R->rates, R->fid[i], val) : -1;
+        Py_XDECREF(val);
+        if (r < 0)
+            return -1;
+        row_path(&R->P, i, R->nlinks, path);
+        if (commit_path(lcap, lused, R->touched, path, rate) < 0)
+            return -1;
+    }
+    return set_add_port(R->scheduled, R->cid[first]) < 0 ? -1 : 1;
+}
+
+/* The round shared by saath_round and madd_round.  R->runs holds each
  * coflow's pending rows, in scheduling order.  A row is schedulable when
  * its data is available (available_time <= now), or always when
  * respect_availability is off: the set ClusterState.schedulable_rows
- * returns.  Each coflow with schedulable rows goes through saath_admit;
- * the rows of every coflow it misses are then filled, in that order, by
- * greedy_fill (Fig. 7 work conservation), whose granted coflows join
- * `work_conserved`.  So `rates` fills coflow by coflow in scheduling
- * order, then with the work-conservation grants in missed-row order, as
- * in Python. */
+ * returns.  Each coflow with schedulable rows goes through `admit`; with
+ * work conservation on, the rows of every coflow it leaves out are then
+ * filled, in that order, by greedy_fill.  So `rates` fills coflow by
+ * coflow in scheduling order, then with the fill's grants in row order,
+ * as in Python. */
 static PyObject *
-saath_round(PyObject *self, PyObject *args)
+run_round(round_ctx *R, admit_fn admit)
 {
-    PyObject *runs_in, *ft, *avail_o, *src_o, *dst_o, *la_o, *lb_o, *fid_o,
-             *cid_o, *lcap_o, *lused_o, *touched, *rates, *scheduled,
-             *conserved;
-    double now, min_rate;
-    int respect, work_conservation;
-    if (!PyArg_ParseTuple(args, "OdpdpOOOOOOOOOOOOOO", &runs_in, &now,
-                          &respect, &min_rate, &work_conservation, &ft,
-                          &avail_o, &src_o, &dst_o, &la_o, &lb_o, &fid_o,
-                          &cid_o, &lcap_o, &lused_o, &touched, &rates,
-                          &scheduled, &conserved))
-        return NULL;
-    if (!PyList_CheckExact(ft)) {
+    if (!PyList_CheckExact(R->ft)) {
         PyErr_SetString(PyExc_TypeError,
                         "fastcore: finish_time must be a list");
         return NULL;
     }
-
     bufs B = {0};
-    pathcols P;
     PyObject *result = NULL, *runs = NULL;
-    /* Each coflow's schedulable rows are appended here; a scheduled
-     * coflow's are dropped again, so the missed rows stay in order. */
+    /* Each coflow's schedulable rows are appended here; an admitted
+     * coflow's are dropped again, so the left-out rows stay in order. */
     rowvec missed = {0};
-    Py_ssize_t *count = NULL;
-    int64_t *links = NULL;
-    Py_ssize_t links_cap = 0;
 
-    Py_ssize_t n5, n6, n7, nlinks, nused;
-    if (pathcols_get(&B, &P, src_o, dst_o, la_o, lb_o) < 0)
+    if (pathcols_get(&B, &R->P, R->src_o, R->dst_o, R->la_o, R->lb_o) < 0)
         goto done;
-    Py_ssize_t ncols = P.n;
-    double *avail = bufs_get(&B, avail_o, 'd', &n5, "available_time");
-    int64_t *fid = avail ? bufs_get(&B, fid_o, 'q', &n6, "flow_id") : NULL;
-    int64_t *cid = fid ? bufs_get(&B, cid_o, 'q', &n7, "coflow_id") : NULL;
-    double *lcap = cid ? bufs_get(&B, lcap_o, 'd', &nlinks, "capacity_list")
+    Py_ssize_t ncols = R->P.n, n5, n6, n7, nused, n8 = ncols, n9 = ncols;
+    R->avail = bufs_get(&B, R->avail_o, 'd', &n5, "available_time");
+    R->fid = R->avail ? bufs_get(&B, R->fid_o, 'q', &n6, "flow_id") : NULL;
+    R->cid = R->fid ? bufs_get(&B, R->cid_o, 'q', &n7, "coflow_id") : NULL;
+    R->lcap = R->cid ? bufs_get(&B, R->lcap_o, 'd', &R->nlinks,
+                                "capacity_list") : NULL;
+    R->lused = R->lcap ? bufs_get(&B, R->lused_o, 'd', &nused, "used_list")
                        : NULL;
-    double *lused = lcap ? bufs_get(&B, lused_o, 'd', &nused, "used_list")
-                         : NULL;
-    if (lused == NULL)
+    if (R->lused == NULL)
         goto done;
-    if (n5 != ncols || n6 != ncols || n7 != ncols || nused != nlinks
-        || PyList_GET_SIZE(ft) < ncols) {
+    if (R->vol_o != NULL) {
+        R->vol = bufs_get(&B, R->vol_o, 'd', &n8, "volume");
+        R->bs = R->vol ? bufs_get(&B, R->bs_o, 'd', &n9, "bytes_sent") : NULL;
+        if (R->bs == NULL)
+            goto done;
+    }
+    if (n5 != ncols || n6 != ncols || n7 != ncols || n8 != ncols
+        || n9 != ncols || nused != R->nlinks
+        || PyList_GET_SIZE(R->ft) < ncols) {
         PyErr_SetString(PyExc_ValueError,
-                        "fastcore: saath_round column/ledger length mismatch");
+                        "fastcore: round column/ledger length mismatch");
         goto done;
     }
-    count = PyMem_New(Py_ssize_t, nlinks > 0 ? nlinks : 1);
-    if (count == NULL) {
+    Py_ssize_t nl1 = R->nlinks > 0 ? R->nlinks : 1;
+    R->count = PyMem_New(Py_ssize_t, nl1);
+    R->links = PyMem_New(int64_t, nl1);
+    R->lbytes = PyMem_New(double, nl1);
+    if (!R->count || !R->links || !R->lbytes) {
         PyErr_NoMemory();
         goto done;
     }
-    memset(count, 0, (size_t)(nlinks > 0 ? nlinks : 1) * sizeof(Py_ssize_t));
+    memset(R->count, 0, (size_t)nl1 * sizeof(Py_ssize_t));
 
-    runs = PySequence_Fast(runs_in, "fastcore: coflow rows must be a sequence");
+    runs = PySequence_Fast(R->runs, "fastcore: coflow rows must be a sequence");
     if (runs == NULL)
         goto done;
     Py_ssize_t nruns = PySequence_Fast_GET_SIZE(runs);
@@ -2057,47 +1921,195 @@ saath_round(PyObject *self, PyObject *args)
         }
         Py_ssize_t start = missed.n;
         for (Py_ssize_t k = 0; k < n; k++) {
-            Py_ssize_t i = as_row(items[k], ncols, "saath");
+            Py_ssize_t i = as_row(items[k], ncols, "round");
             if (i < 0) {
                 Py_DECREF(fast);
                 goto done;
             }
-            if (!respect || avail[i] <= now)
+            if (!R->respect || R->avail[i] <= R->now)
                 missed.v[missed.n++] = i;
         }
         Py_DECREF(fast);
         Py_ssize_t m = missed.n - start;
         if (m == 0)
             continue;
-        if (MAX_PATH * m > links_cap) {
-            PyMem_Free(links);
-            links_cap = MAX_PATH * m;
-            links = PyMem_New(int64_t, links_cap);
-            if (links == NULL) {
-                PyErr_NoMemory();
-                goto done;
-            }
-        }
-        int st = saath_admit(&P, ft, fid, cid, lcap, lused, nlinks, touched,
-                             min_rate, missed.v + start, m, count, links,
-                             rates, scheduled);
+        int st = admit(R, missed.v + start, m);
         if (st < 0)
             goto done;
         if (st == 1)
             missed.n = start;
     }
-    if (work_conservation && missed.n > 0
-        && greedy_fill(&P, ft, fid, cid, lcap, lused, nlinks, touched,
-                       missed.v, missed.n, rates, conserved) < 0)
+    if (R->work_conservation && missed.n > 0
+        && greedy_fill(R, missed.v, missed.n) < 0)
         goto done;
     result = Py_None;
     Py_INCREF(result);
 
 done:
-    PyMem_Free(links);
-    PyMem_Free(count);
+    PyMem_Free(R->lbytes);
+    PyMem_Free(R->links);
+    PyMem_Free(R->count);
     PyMem_Free(missed.v);
     Py_XDECREF(runs);
+    bufs_release(&B);
+    return result;
+}
+
+/* saath_round(coflow_rows, now, respect_availability, min_rate,
+ *             work_conservation, ft, avail, src, dst, link_a, link_b, fid,
+ *             cid, lcap, lused, touched, rates, scheduled,
+ *             work_conserved) -> None
+ *
+ * Compiled twin of SaathScheduler._round_rows: run_round with Saath's
+ * admission, work conservation per its switch. */
+static PyObject *
+saath_round(PyObject *self, PyObject *args)
+{
+    round_ctx R = {0};
+    if (!PyArg_ParseTuple(args, "OdpdpOOOOOOOOOOOOOO", &R.runs, &R.now,
+                          &R.respect, &R.min_rate, &R.work_conservation,
+                          &R.ft, &R.avail_o, &R.src_o, &R.dst_o, &R.la_o,
+                          &R.lb_o, &R.fid_o, &R.cid_o, &R.lcap_o, &R.lused_o,
+                          &R.touched, &R.rates, &R.scheduled, &R.conserved))
+        return NULL;
+    return run_round(&R, saath_admit);
+}
+
+/* madd_round(coflow_rows, now, respect_availability, ft, avail, vol, bs,
+ *            src, dst, link_a, link_b, fid, cid, lcap, lused, touched,
+ *            rates, scheduled, work_conserved) -> None
+ *
+ * Compiled twin of repro.schedulers.varys.madd_round, the round of every
+ * clairvoyant policy: run_round with MADD admission, then the greedy
+ * backfill. */
+static PyObject *
+madd_round(PyObject *self, PyObject *args)
+{
+    round_ctx R = {.work_conservation = 1};
+    if (!PyArg_ParseTuple(args, "OdpOOOOOOOOOOOOOOOO", &R.runs, &R.now,
+                          &R.respect, &R.ft, &R.avail_o, &R.vol_o, &R.bs_o,
+                          &R.src_o, &R.dst_o, &R.la_o, &R.lb_o, &R.fid_o,
+                          &R.cid_o, &R.lcap_o, &R.lused_o, &R.touched,
+                          &R.rates, &R.scheduled, &R.conserved))
+        return NULL;
+    return run_round(&R, madd_admit);
+}
+
+/* sebf_gammas(row_lists, ft, vol, bs, src, dst, lcap) -> list[float]
+ *
+ * VarysSebfScheduler._compute_gamma of each coflow: per port, the sum of
+ * max(volume - bytes_sent, 0) over the unfinished rows, in row order from
+ * 0.0; Γ is the largest load / capacity over the ports in first-seen order
+ * (inf where capacity <= 0), or 0.0 for a coflow with no unfinished row. */
+static PyObject *
+sebf_gammas(PyObject *self, PyObject *args)
+{
+    PyObject *lists_in, *ft, *vol_o, *bs_o, *src_o, *dst_o, *lcap_o;
+    if (!PyArg_ParseTuple(args, "OOOOOOO", &lists_in, &ft, &vol_o, &bs_o,
+                          &src_o, &dst_o, &lcap_o))
+        return NULL;
+    if (!PyList_CheckExact(ft)) {
+        PyErr_SetString(PyExc_TypeError,
+                        "fastcore: finish_time must be a list");
+        return NULL;
+    }
+
+    bufs B = {0};
+    PyObject *result = NULL, *lists = NULL, *out = NULL;
+    double *load = NULL;
+    int64_t *ports = NULL;
+    char *seen = NULL;
+    Py_ssize_t ncols, n2, n3, n4, nports;
+    double *vol = bufs_get(&B, vol_o, 'd', &ncols, "volume");
+    double *bs = vol ? bufs_get(&B, bs_o, 'd', &n2, "bytes_sent") : NULL;
+    int64_t *src = bs ? bufs_get(&B, src_o, 'q', &n3, "src") : NULL;
+    int64_t *dst = src ? bufs_get(&B, dst_o, 'q', &n4, "dst") : NULL;
+    double *lcap = dst ? bufs_get(&B, lcap_o, 'd', &nports, "capacity_list")
+                       : NULL;
+    if (lcap == NULL)
+        goto done;
+    if (n2 != ncols || n3 != ncols || n4 != ncols
+        || PyList_GET_SIZE(ft) < ncols) {
+        PyErr_SetString(PyExc_ValueError,
+                        "fastcore: sebf_gammas column mismatch");
+        goto done;
+    }
+    Py_ssize_t np1 = nports > 0 ? nports : 1;
+    load = PyMem_New(double, np1);
+    ports = PyMem_New(int64_t, np1);
+    seen = PyMem_New(char, np1);
+    if (!load || !ports || !seen) {
+        PyErr_NoMemory();
+        goto done;
+    }
+    memset(seen, 0, (size_t)np1);
+    lists = PySequence_Fast(lists_in, "fastcore: row lists must be a sequence");
+    if (lists == NULL)
+        goto done;
+    Py_ssize_t nlists = PySequence_Fast_GET_SIZE(lists);
+    out = PyList_New(nlists);
+    if (out == NULL)
+        goto done;
+    for (Py_ssize_t c = 0; c < nlists; c++) {
+        PyObject *fast = PySequence_Fast(PySequence_Fast_GET_ITEM(lists, c),
+                                         "fastcore: rows must be a sequence");
+        if (fast == NULL)
+            goto done;
+        Py_ssize_t n = PySequence_Fast_GET_SIZE(fast);
+        PyObject **items = PySequence_Fast_ITEMS(fast);
+        Py_ssize_t nseen = 0;
+        for (Py_ssize_t k = 0; k < n; k++) {
+            Py_ssize_t i = as_row(items[k], ncols, "gamma");
+            if (i < 0) {
+                Py_DECREF(fast);
+                goto done;
+            }
+            if (PyList_GET_ITEM(ft, i) != Py_None)
+                continue;
+            double remaining = vol[i] - bs[i];
+            if (remaining < 0.0)
+                remaining = 0.0;
+            int64_t pair[2] = {src[i], dst[i]};
+            for (int s = 0; s < 2; s++) {
+                int64_t p = pair[s];
+                if ((uint64_t)p >= (uint64_t)nports) {
+                    Py_DECREF(fast);
+                    PyErr_Format(PyExc_IndexError,
+                                 "fastcore: port %lld out of range [0, %zd)",
+                                 (long long)p, nports);
+                    goto done;
+                }
+                if (!seen[p]) {
+                    seen[p] = 1;
+                    ports[nseen++] = p;
+                    load[p] = 0.0;
+                }
+                load[p] += remaining;
+            }
+        }
+        Py_DECREF(fast);
+        double gamma = 0.0;
+        for (Py_ssize_t o = 0; o < nseen; o++) {
+            int64_t p = ports[o];
+            seen[p] = 0;
+            double share = lcap[p] > 0.0 ? load[p] / lcap[p] : INFINITY;
+            if (share > gamma)
+                gamma = share;
+        }
+        PyObject *v = PyFloat_FromDouble(gamma);
+        if (v == NULL)
+            goto done;
+        PyList_SET_ITEM(out, c, v);
+    }
+    result = out;
+    out = NULL;
+
+done:
+    Py_XDECREF(out);
+    Py_XDECREF(lists);
+    PyMem_Free(load);
+    PyMem_Free(ports);
+    PyMem_Free(seen);
     bufs_release(&B);
     return result;
 }
@@ -2391,10 +2403,6 @@ static PyMethodDef fastcore_methods[] = {
      "Register repro.errors.CapacityViolationError for ledger commits."},
     {"mmf_fill", mmf_fill, METH_VARARGS,
      "Progressive-fill core of max_min_fair_rows_raw."},
-    {"madd_rows", madd_rows, METH_VARARGS,
-     "Fused single-pass core of madd_rates_rows."},
-    {"greedy_rows", greedy_rows, METH_VARARGS,
-     "Work-conservation fill core of greedy_residual_rates_rows."},
     {"advance_running", advance_running, METH_VARARGS,
      "Branchless byte-accounting fast path of _advance_to."},
     {"advance_collect", advance_collect, METH_VARARGS,
@@ -2415,6 +2423,10 @@ static PyMethodDef fastcore_methods[] = {
      "Bucket-and-serve round core of AaloScheduler._schedule_rows."},
     {"saath_round", saath_round, METH_VARARGS,
      "Admission, D2 rates and work conservation of SaathScheduler.schedule."},
+    {"madd_round", madd_round, METH_VARARGS,
+     "MADD admission and greedy backfill of the clairvoyant policies."},
+    {"sebf_gammas", sebf_gammas, METH_VARARGS,
+     "Per-coflow SEBF bottleneck time of VarysSebfScheduler.schedule."},
     {"total_rate_rows", total_rate_rows, METH_VARARGS,
      "Summed-live-rate core of next_transition_time (total metric)."},
     {"per_flow_transitions", per_flow_transitions, METH_VARARGS,

@@ -15,7 +15,9 @@ capacity, backfill the rest) — and differ only in the key:
   offline ancestor of Saath's LCoF.
 
 All three are used **only** in the motivation experiment; Saath itself never
-reads flow volumes.
+reads flow volumes. Only the ordering is per-policy Python: with the
+compiled core the shared round is one ``madd_round`` call into
+:mod:`repro._fastcore`.
 """
 
 from __future__ import annotations

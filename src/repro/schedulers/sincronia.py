@@ -13,7 +13,8 @@ dual pass:
 
 Flows are then admitted greedily in coflow order with MADD rates through
 the round the other clairvoyant baselines in this repository share
-(:func:`~repro.schedulers.varys.madd_round`), so the comparison isolates
+(:func:`~repro.schedulers.varys.madd_round`, one ``madd_round`` call into
+:mod:`repro._fastcore` with the compiled core), so the comparison isolates
 the *ordering* policy. BSSI orders by host-port loads; the committed rates
 also respect core-link capacity on a multi-tier topology.
 """

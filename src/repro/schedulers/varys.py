@@ -19,16 +19,24 @@ this offline scheduler.
 Steps 2–3 are :func:`madd_round`, which the other clairvoyant baselines
 (SCF/SRTF/LWTF in :mod:`repro.schedulers.offline`, Sincronia) share: each
 policy only builds its coflow order.
+
+With the compiled core (``table.fastcore``) a Varys round makes two calls
+into :mod:`repro._fastcore` instead of per-coflow Python: ``sebf_gammas``
+computes every active coflow's Γ, and ``madd_round`` runs MADD admission
+coflow by coflow and then the greedy backfill. The Python loops
+(:meth:`VarysSebfScheduler._compute_gamma` and the body of
+:func:`madd_round`) are their twins; both give the same bits.
 """
 
 from __future__ import annotations
 
 import math
 
-from ..config import SimulationConfig
+from .._fastcore import core as _core
 from ..simulator.flows import CoFlow
-# Only the *_rows forms are called; the object and *_paths names stay bound
-# because layerbench's traced run wraps the allocators named in this module.
+# The Python twin of madd_round calls the *_rows forms through these module
+# globals; the object and *_paths names stay bound because layerbench's
+# traced run wraps the allocators named in this module.
 from ..simulator.ratealloc import (  # noqa: F401
     greedy_residual_rates,
     greedy_residual_rates_rows,
@@ -48,10 +56,28 @@ def madd_round(state: ClusterState, now: float, order: list[CoFlow],
     schedulable rows: Γ covers every link of its flows' paths, so on a
     multi-tier topology the rates respect the true bottleneck. Coflows
     fully blocked at some link (rare) are then backfilled greedily, in the
-    same order.
+    same order. With the compiled core the whole round is one
+    ``madd_round`` call; the loop below is its Python twin.
     """
     table = state.table
     allocation = Allocation()
+    metrics = state.metrics
+    if table.fastcore and _core is not None:
+        if metrics is not None:
+            metrics.inc("kernel.madd_round.fastcore")
+        rows_of = state.pending_row_map
+        _core.madd_round(
+            [rows_of[c.coflow_id] for c in order], now,
+            state.respect_availability, table.finish_time,
+            table.available_time, table.volume, table.bytes_sent, table.src,
+            table.dst, table.link_a, table.link_b, table.flow_id,
+            table.coflow_id, ledger.capacity_list, ledger.used_list,
+            ledger.touched_set, allocation.rates,
+            allocation.scheduled_coflows, allocation.work_conserved_coflows,
+        )
+        return allocation
+    if metrics is not None:
+        metrics.inc("kernel.madd_round.python")
     skipped: list[CoFlow] = []
     for coflow in order:
         rows = state.schedulable_rows(coflow, now)
@@ -82,55 +108,42 @@ class VarysSebfScheduler(Scheduler):
     name = "varys-sebf"
     clairvoyant = True
 
-    def __init__(self, config: SimulationConfig):
-        super().__init__(config)
-        #: coflow_id → Γ, valid until the coflow's remaining bytes change.
-        self._gamma_cache: dict[int, float] = {}
-
-    def _refresh_gamma_cache(self, state: ClusterState) -> None:
-        """Invalidate cached Γ for coflows whose remaining bytes may have
-        moved since the last round (the engine's dirty set); everyone
-        else's Γ is bit-identical to a recompute. Full rounds (first round,
-        dynamics, ``incremental=False``) drop the whole cache."""
-        cache = self._gamma_cache
-        delta = state.delta
-        if not self.config.incremental or delta.full:
-            cache.clear()
-            return
-        for cid in delta.completed:
-            cache.pop(cid, None)
-        for cid in delta.arrived:
-            cache.pop(cid, None)
-        for cid in delta.progressed:
-            cache.pop(cid, None)
-        for cid in delta.flow_completed:
-            cache.pop(cid, None)
-
     def schedule(self, state: ClusterState, now: float) -> Allocation:
-        self._refresh_gamma_cache(state)
+        # Γ reads the round ledger's capacities, which hold the dynamics
+        # overrides, so the ledger comes first.
+        ledger = self._round_ledger(state)
+        coflows = state.active_coflows
+        table = state.table
+        if table.fastcore and _core is not None:
+            if self.metrics is not None:
+                self.metrics.inc("kernel.sebf_gammas.fastcore")
+            rows_of = state.pending_row_map
+            gammas = _core.sebf_gammas(
+                [rows_of[c.coflow_id] for c in coflows], table.finish_time,
+                table.volume, table.bytes_sent, table.src, table.dst,
+                ledger.capacity_list,
+            )
+        else:
+            if self.metrics is not None:
+                self.metrics.inc("kernel.sebf_gammas.python")
+            lcap = ledger.capacity_list
+            gammas = [self._compute_gamma(c, state, lcap) for c in coflows]
         # SEBF *ordering* keeps the paper's host-port Γ on every fabric —
         # the clairvoyant priority is a policy choice; MADD's rate
-        # feasibility (madd_round) covers every path link.
-        order = sorted(
-            state.active_coflows,
-            key=lambda c: (self._gamma(c, state), c.arrival_time, c.coflow_id),
-        )
-        return madd_round(state, now, order, self._round_ledger(state))
+        # feasibility (madd_round) covers every path link. Coflow ids are
+        # unique, so the sort never compares two coflows.
+        order = [entry[3] for entry in sorted(
+            [(gamma, c.arrival_time, c.coflow_id, c)
+             for gamma, c in zip(gammas, coflows)]
+        )]
+        return madd_round(state, now, order, ledger)
 
-    def _gamma(self, coflow: CoFlow, state: ClusterState) -> float:
-        """Effective bottleneck completion time at full port capacity.
-
-        Memoised per coflow; :meth:`_refresh_gamma_cache` drops entries
-        whose inputs (remaining bytes, port capacities) may have changed.
-        """
-        cached = self._gamma_cache.get(coflow.coflow_id)
-        if cached is not None:
-            return cached
-        gamma = self._compute_gamma(coflow, state)
-        self._gamma_cache[coflow.coflow_id] = gamma
-        return gamma
-
-    def _compute_gamma(self, coflow: CoFlow, state: ClusterState) -> float:
+    def _compute_gamma(self, coflow: CoFlow, state: ClusterState,
+                       lcap) -> float:
+        """Effective bottleneck completion time at full port capacity: the
+        largest remaining bytes / capacity over the coflow's host ports,
+        ``lcap`` being the round ledger's ``capacity_list`` (the Python
+        twin of the compiled ``sebf_gammas``)."""
         load: dict[int, float] = {}
         get = load.get
         t = state.table
@@ -146,17 +159,8 @@ class VarysSebfScheduler(Scheduler):
             dst = dst_col[i]
             load[src] = get(src, 0.0) + remaining
             load[dst] = get(dst, 0.0) + remaining
-        if not load:
-            return 0.0
-        if not state.capacity_override:
-            # Homogeneous fabric: every port runs at the same rate, and
-            # float division by a positive constant is monotone, so
-            # ``max(load) / rate`` is bit-identical to the per-port maximum
-            # of ``load / rate`` — one division instead of one per port.
-            rate = state.fabric.port_rate
-            return max(load.values()) / rate if rate > 0 else math.inf
         gamma = 0.0
         for port, volume in load.items():
-            cap = state.port_capacity(port)
+            cap = lcap[port]
             gamma = max(gamma, volume / cap if cap > 0 else math.inf)
         return gamma

@@ -30,10 +30,11 @@ asserted by the equivalence tests):
   built by hand. A row's path is ``src, dst, link_a, link_b`` read straight
   off the table columns (core links ``-1`` when absent, always on a big
   switch) and indexes the ledger's dense per-link lists, with no attribute
-  or dict dispatch in the fill loops. With ``table.fastcore`` set each row
-  form dispatches to its compiled twin in :mod:`repro._fastcore`, except
-  :func:`equal_rate_for_coflow_rows`, whose compiled twin is part of
-  Saath's round kernel;
+  or dict dispatch in the fill loops. With ``table.fastcore`` set
+  :func:`max_min_fair_rows_raw` dispatches to its compiled twin in
+  :mod:`repro._fastcore`; the compiled twins of the MADD, equal-rate and
+  greedy row forms are parts of the round kernels (``madd_round`` and
+  ``saath_round``), so those forms run only in the rounds' Python twins;
 * the object form (``flows``: a sequence of :class:`Flow`), port-only —
   the readable reference oracle the allocator fuzz pins the row forms to;
 * ``*_paths`` twins (:func:`max_min_fair_paths`, :func:`madd_rates_paths`,
@@ -420,16 +421,11 @@ def madd_rates_rows(
     ``rows`` are the coflow's schedulable rows; remaining volumes are read
     straight off the table columns. Γ covers every path link, core links
     included (the arithmetic of :func:`madd_rates_paths`).
+
+    Its compiled twin is the MADD step of the ``madd_round`` kernel, so
+    this form runs only in that round's Python twin.
     """
     metrics = ledger._metrics
-    if table.fastcore and _core is not None:
-        if metrics is not None:
-            metrics.inc("kernel.madd_rows.fastcore")
-        return _core.madd_rows(
-            rows, table.finish_time, table.volume, table.bytes_sent,
-            table.src, table.dst, table.link_a, table.link_b, table.flow_id,
-            ledger.capacity_list, ledger.used_list, ledger.touched_set,
-        )
     if metrics is not None:
         metrics.inc("kernel.madd_rows.python")
     ft = table.finish_time
@@ -881,16 +877,11 @@ def greedy_residual_rates_rows(
     covers every link (core links included): residuals only shrink within
     the walk, so skipping a flow that crosses an exhausted link is exactly
     the zero-rate no-op the fill would have returned.
+
+    Its compiled twin is the fill inside the ``saath_round`` and
+    ``madd_round`` kernels, so this form runs only in their Python twins.
     """
     metrics = ledger._metrics
-    if table.fastcore and _core is not None:
-        if metrics is not None:
-            metrics.inc("kernel.greedy_rows.fastcore")
-        return _core.greedy_rows(
-            rows, table.finish_time, table.flow_id, table.src, table.dst,
-            table.link_a, table.link_b, ledger.capacity_list,
-            ledger.used_list, ledger.touched_set,
-        )
     if metrics is not None:
         metrics.inc("kernel.greedy_rows.python")
     rates: dict[int, float] = {}

@@ -237,6 +237,25 @@ def test_pre_compiled_round_checkpoint_resumes_byte_identical(tmp_path):
     assert _fingerprint(resumed.run()) == full
 
 
+def test_gamma_cache_checkpoint_resumes_byte_identical(tmp_path):
+    """A Varys checkpoint saved while the scheduler memoised Γ carries a
+    ``_gamma_cache`` attribute. Filled with wrong values, which would
+    reverse the SEBF order if read, it must still resume, on either build,
+    to the uninterrupted run's result: nothing reads the attribute."""
+    full = _fingerprint(_session("varys-sebf", *_workload()).run())
+    fabric, coflows = _workload()
+    session = _session("varys-sebf", fabric, coflows)
+    arrivals = sorted(c.arrival_time for c in coflows)
+    session.run_until(arrivals[len(arrivals) // 2])
+    snap = session.snapshot()
+    snap.payload["scheduler"].__dict__["_gamma_cache"] = {
+        c.coflow_id: -float(k) for k, c in enumerate(coflows)
+    }
+    path = snap.save(tmp_path / "gamma-cache.ckpt")
+    resumed = SimulationSession.restore(SessionSnapshot.load(path))
+    assert _fingerprint(resumed.run()) == full
+
+
 # ---- file-format integrity -------------------------------------------------
 
 

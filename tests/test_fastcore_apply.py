@@ -289,12 +289,6 @@ def _kernel_cases():
         "mmf_fill": (
             lambda: core.mmf_fill(live, *path, *ledger, None, True),
             [live, *path, *ledger], reset),
-        "madd_rows": (
-            lambda: core.madd_rows(rows, ft, vol, bs, *path, fid, *ledger),
-            [rows, ft, vol, bs, *path, fid, *ledger], reset),
-        "greedy_rows": (
-            lambda: core.greedy_rows(rows, ft, fid, *path, *ledger),
-            [rows, ft, fid, *path, *ledger], reset),
         "advance_running": (
             lambda: core.advance_running(running, vol, bs, rt, 0.25),
             [running, vol, bs, rt], reset),
@@ -323,6 +317,15 @@ def _kernel_cases():
                                      scheduled, conserved),
             [row_lists, ft, avail, *path, fid, cid, *ledger, rates,
              scheduled, conserved], reset),
+        "madd_round": (
+            lambda: core.madd_round(row_lists, now, True, ft, avail, vol, bs,
+                                    *path, fid, cid, *ledger, rates,
+                                    scheduled, conserved),
+            [row_lists, ft, avail, vol, bs, *path, fid, cid, *ledger, rates,
+             scheduled, conserved], reset),
+        "sebf_gammas": (
+            lambda: core.sebf_gammas(row_lists, ft, vol, bs, src, dst, lcap),
+            [row_lists, ft, vol, bs, src, dst, lcap], reset),
         "total_rate_rows": (
             lambda: core.total_rate_rows(rows, fid, ft, given),
             [rows, fid, ft, given], reset),

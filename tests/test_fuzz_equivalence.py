@@ -36,16 +36,17 @@ round runs on, to the object forms bit-for-bit (rates *and* resulting
 ledger state) — the object forms are the readable reference oracle. The
 path-aware allocator twins (``*_paths``) join the same fuzz with a
 big-switch path map: on paths with no core links they must be
-bit-identical to the port-only forms. The ``*-fastcore`` variants run the
-same trials with ``table.fastcore`` set, routing the row forms that have
-a compiled dispatch through the compiled kernels — they skip cleanly when
+bit-identical to the port-only forms. The ``mmf-fastcore`` variant runs
+the same trials with ``table.fastcore`` set, routing the one row form
+that has a compiled dispatch through its kernel — it skips cleanly when
 the extension is not built.
 
 A third fuzz runs the row forms on *multi-rack* path maps, whose core
 links (filled into the table's ``link_a`` / ``link_b`` columns) saturate:
 row form against the ``*_paths`` object twin over a
-:class:`~repro.simulator.topology.LinkLedger`, in Python and through the
-compiled kernels, including the link a capacity violation names.
+:class:`~repro.simulator.topology.LinkLedger`, in Python and, for
+max-min, through its compiled kernel, including the link a capacity
+violation names.
 """
 
 from __future__ import annotations
@@ -316,18 +317,20 @@ def _random_attached_flows(rng: random.Random, machines: int):
 @pytest.mark.parametrize("allocator", [
     "mmf", "madd", "equal", "greedy",
     "mmf-paths", "madd-paths", "equal-paths",
-    "mmf-fastcore", "madd-fastcore", "greedy-fastcore",
+    "mmf-fastcore",
 ])
 def test_row_allocators_match_object_allocators(allocator):
     """Row-path and path-aware allocators are bit-identical to the object
     forms — same rates, same residual ledger — across random instances
     (the ``*_paths`` twins run with a big-switch path map: every path is
     ``(src, dst)``, so the port-only arithmetic must reproduce exactly).
-    The ``*-fastcore`` variants set ``table.fastcore`` so the row forms
-    dispatch to the compiled kernels, fuzzing C directly against the
-    object allocators; they skip when the extension is not built. The
-    equal-rate form has no compiled dispatch (its C twin is part of
-    Saath's round kernel, fuzzed in ``tests/test_saath_kernels.py``)."""
+    The ``mmf-fastcore`` variant sets ``table.fastcore`` so the row form
+    dispatches to the compiled kernel, fuzzing C directly against the
+    object allocator; it skips when the extension is not built. The
+    MADD, equal-rate and greedy forms have no compiled dispatch (their C
+    twins are parts of the round kernels, fuzzed against the Python
+    rounds in ``tests/test_saath_kernels.py`` and
+    ``tests/test_varys_kernels.py``)."""
     fastcore = allocator.endswith("-fastcore")
     if fastcore:
         if not _fastcore.AVAILABLE:
@@ -400,12 +403,12 @@ def _attach_paths(table, rows, paths: PathMap) -> None:
 
 
 #: (allocator, fastcore) legs of the core-link fuzz: every row form in
-#: Python, and each one with a compiled dispatch through C.
+#: Python, and the one with a compiled dispatch (max-min) through C.
 CORE_LINK_LEGS = [
     (allocator, fastcore)
     for allocator in ("mmf", "madd", "equal", "greedy")
     for fastcore in (False, True)
-    if not (fastcore and allocator == "equal")
+    if not fastcore or allocator == "mmf"
 ]
 
 
@@ -418,8 +421,8 @@ def test_row_allocators_match_paths_on_core_links(allocator, fastcore):
     ``*_paths`` object twins walk a pair's path: same rates, same residual
     ledger on every link, on a four-rack 4:1 leaf-spine whose uplinks and
     downlinks (a quarter of a rack's port bandwidth per spine) are the
-    usual bottleneck. ``fastcore`` routes the row forms through the
-    compiled kernels, so C is pinned against the Python object forms."""
+    usual bottleneck. ``fastcore`` routes the max-min row form through
+    its compiled kernel, so C is pinned against the Python object form."""
     if fastcore and not _fastcore.AVAILABLE:
         pytest.skip("repro._fastcore extension not built")
     rng = random.Random(4242)
